@@ -185,11 +185,20 @@ struct LastMove {
     baseline_pressure: f64,
 }
 
+dcmaint_ckpt::persist!(LastMove {
+    knob,
+    prev,
+    at_tick,
+    baseline_pressure,
+});
+
 /// The MAPE-K loop state: knowledge, knobs, guardrail bookkeeping, and
-/// the monitor cursor. Everything here snapshots via
-/// [`Mape::save`]/[`Mape::restore`] (config excluded — the restoring
-/// side rebuilds from the same [`AutonomicConfig`], and the *tuned*
-/// knob values live here, not in the config).
+/// the monitor cursor. Everything here snapshots through its
+/// [`Persist`](dcmaint_ckpt::Persist) impl (config excluded — the
+/// restoring side rebuilds from the same [`AutonomicConfig`], and the
+/// *tuned* knob values live here, not in the config). After a restore
+/// the caller re-applies the restored knob values to the live
+/// controller (e.g. `ProactivePlanner::set_trigger_count`).
 #[derive(Debug)]
 pub struct Mape {
     cfg: AutonomicConfig,
@@ -220,6 +229,31 @@ pub struct Mape {
     applied: u64,
     rollbacks: u64,
 }
+
+dcmaint_ckpt::persist!(Mape {
+    cursor,
+    posteriors,
+    marginals,
+    cause_mix,
+    fast_ewma,
+    slow_ewma,
+    fleet_cap,
+    proactive_trigger,
+    provision_spares,
+    pressure_streak,
+    cooldown_until,
+    last_move,
+    cum_elapsed_us,
+    cum_incidents,
+    cum_window_us,
+    cum_windows,
+    ticks,
+    decisions,
+    applied,
+    rollbacks,
+} skip {
+    cfg: "rebuilt from the scenario's AutonomicConfig",
+});
 
 impl Mape {
     /// Fresh loop state from config: knobs at their starting values,
@@ -546,106 +580,6 @@ impl Mape {
         self.applied += 1;
         Directive::Knob { knob, from, to }
     }
-
-    /// Append the loop's full adaptation state to a checkpoint
-    /// (config excluded; see the type docs).
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        self.cursor.save(enc);
-        enc.usize(self.posteriors.len());
-        for (&(c, a), b) in &self.posteriors {
-            enc.str(c);
-            enc.str(a);
-            b.save(enc);
-        }
-        enc.usize(self.marginals.len());
-        for (&a, b) in &self.marginals {
-            enc.str(a);
-            b.save(enc);
-        }
-        enc.usize(self.cause_mix.len());
-        for (&c, &n) in &self.cause_mix {
-            enc.str(c);
-            enc.u64(n);
-        }
-        enc.f64(self.fast_ewma);
-        enc.f64(self.slow_ewma);
-        enc.u64(self.fleet_cap);
-        enc.u64(self.proactive_trigger);
-        enc.u64(self.provision_spares);
-        enc.u32(self.pressure_streak);
-        enc.u64(self.cooldown_until);
-        match &self.last_move {
-            None => enc.bool(false),
-            Some(mv) => {
-                enc.bool(true);
-                enc.str(mv.knob);
-                enc.u64(mv.prev);
-                enc.u64(mv.at_tick);
-                enc.f64(mv.baseline_pressure);
-            }
-        }
-        enc.u64(self.cum_elapsed_us);
-        enc.u64(self.cum_incidents);
-        enc.u64(self.cum_window_us);
-        enc.u64(self.cum_windows);
-        enc.u64(self.ticks);
-        enc.u64(self.decisions);
-        enc.u64(self.applied);
-        enc.u64(self.rollbacks);
-    }
-
-    /// Restore checkpointed adaptation state into this loop. Inverse of
-    /// [`Mape::save`]; the caller must afterwards re-apply the restored
-    /// knob values to the live controller (e.g.
-    /// `ProactivePlanner::set_trigger_count`).
-    pub fn restore(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
-        self.cursor = RegistryCursor::load(dec)?;
-        let np = dec.usize()?;
-        self.posteriors.clear();
-        for _ in 0..np {
-            let c = dcmaint_ckpt::intern(&dec.str()?);
-            let a = dcmaint_ckpt::intern(&dec.str()?);
-            self.posteriors.insert((c, a), Beta::load(dec)?);
-        }
-        let nm = dec.usize()?;
-        self.marginals.clear();
-        for _ in 0..nm {
-            let a = dcmaint_ckpt::intern(&dec.str()?);
-            self.marginals.insert(a, Beta::load(dec)?);
-        }
-        let nc = dec.usize()?;
-        self.cause_mix.clear();
-        for _ in 0..nc {
-            let c = dcmaint_ckpt::intern(&dec.str()?);
-            self.cause_mix.insert(c, dec.u64()?);
-        }
-        self.fast_ewma = dec.f64()?;
-        self.slow_ewma = dec.f64()?;
-        self.fleet_cap = dec.u64()?;
-        self.proactive_trigger = dec.u64()?;
-        self.provision_spares = dec.u64()?;
-        self.pressure_streak = dec.u32()?;
-        self.cooldown_until = dec.u64()?;
-        self.last_move = if dec.bool()? {
-            Some(LastMove {
-                knob: dcmaint_ckpt::intern(&dec.str()?),
-                prev: dec.u64()?,
-                at_tick: dec.u64()?,
-                baseline_pressure: dec.f64()?,
-            })
-        } else {
-            None
-        };
-        self.cum_elapsed_us = dec.u64()?;
-        self.cum_incidents = dec.u64()?;
-        self.cum_window_us = dec.u64()?;
-        self.cum_windows = dec.u64()?;
-        self.ticks = dec.u64()?;
-        self.decisions = dec.u64()?;
-        self.applied = dec.u64()?;
-        self.rollbacks = dec.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -836,12 +770,13 @@ mod tests {
             m.observe_repair("seating", "reseat", true);
             m.tick(&r, ctx(t % 6, t % 2), &mut rng);
         }
+        use dcmaint_ckpt::Persist;
         let mut enc = dcmaint_ckpt::Enc::new();
         m.save(&mut enc);
         let bytes = enc.into_bytes();
         let mut back = Mape::new(AutonomicConfig::default());
         let mut dec = dcmaint_ckpt::Dec::new(&bytes);
-        back.restore(&mut dec).unwrap();
+        back.load(&mut dec).unwrap();
         assert!(dec.is_exhausted());
 
         // The restored loop must continue bit-identically: same ticks,

@@ -22,6 +22,9 @@
 //!   `&'static str` label vocabularies the hot paths use (trace states,
 //!   registry counter names). Each distinct label leaks once per
 //!   process, ever — repeated restores reuse the first allocation.
+//! * [`Persist`]/[`Decode`] with the [`persist!`] and [`persist_enum!`]
+//!   macros — one definition per state type, from which save, restore
+//!   and the state hash all derive (see the `persist` module).
 //!
 //! Compatibility policy (see DESIGN §3.11): the format version is bumped
 //! on any byte-layout change, and old versions are *rejected*, never
@@ -29,6 +32,10 @@
 //! the upgrade path is "re-run from the config", not a migration tool.
 
 #![forbid(unsafe_code)]
+
+mod persist;
+
+pub use persist::{fixed_len, gated, unprefixed, Decode, Persist};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -149,36 +156,44 @@ impl Enc {
     }
 
     /// Append one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a bool as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Append a little-endian u32.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian u64.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a usize as u64 (platform-independent width).
+    /// Append a usize as u64 (platform-independent width). `usize::MAX`
+    /// — the "uncapped" sentinel — maps to `u64::MAX` on every target.
+    #[inline]
     pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.u64(if v == usize::MAX { u64::MAX } else { v as u64 });
     }
 
     /// Append an f64 as its exact bit pattern.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Append a u64-length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -196,12 +211,53 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    link_count: u64,
+    replay: bool,
 }
 
 impl<'a> Dec<'a> {
     /// Decoder over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            link_count: u64::MAX,
+            replay: true,
+        }
+    }
+
+    /// Bound every link index read through [`Dec::link_index`] by the
+    /// topology's link count. A snapshot is only as trustworthy as its
+    /// producer: the integrity hash catches bit rot, not a bad writer,
+    /// and an out-of-range link id would index past the link tables.
+    pub fn with_link_count(mut self, n: usize) -> Self {
+        self.link_count = n as u64;
+        self
+    }
+
+    /// Read a link index, rejecting one outside the bound set by
+    /// [`Dec::with_link_count`] (unbounded by default).
+    #[inline]
+    pub fn link_index(&mut self) -> Result<usize, CkptError> {
+        let v = self.u64()?;
+        if v >= self.link_count {
+            return Err(CkptError::BadTag("link-id", v));
+        }
+        Ok(v as usize)
+    }
+
+    /// Leave recorded positions (RNG draw counts) unreplayed: the caller
+    /// has already positioned every stream itself, as a reseeded fork
+    /// does. Positions are still read, so the layout is unchanged.
+    pub fn keep_positions(mut self) -> Self {
+        self.replay = false;
+        self
+    }
+
+    /// Whether loads should replay recorded positions (the default).
+    #[inline]
+    pub fn replays_positions(&self) -> bool {
+        self.replay
     }
 
     /// Bytes not yet consumed.
@@ -215,6 +271,7 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         if self.remaining() < n {
             return Err(CkptError::Truncated);
@@ -225,11 +282,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CkptError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a bool (strictly 0/1; anything else is corruption).
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CkptError> {
         match self.u8()? {
             0 => Ok(false),
@@ -239,32 +298,43 @@ impl<'a> Dec<'a> {
     }
 
     /// Read a little-endian u32.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CkptError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Read a little-endian u64.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CkptError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Read a usize stored as u64.
+    /// Read a usize stored as u64 (`u64::MAX` is the `usize::MAX`
+    /// sentinel; anything wider than the target saturates to it).
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, CkptError> {
-        Ok(self.u64()? as usize)
+        Ok(usize::try_from(self.u64()?).unwrap_or(usize::MAX))
     }
 
     /// Read an f64 from its exact bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CkptError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    #[inline]
+    pub fn str_ref(&mut self) -> Result<&'a str, CkptError> {
         let n = self.usize()?;
         let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| CkptError::Utf8)
+        std::str::from_utf8(b).map_err(|_| CkptError::Utf8)
     }
 
     /// Read a length-prefixed raw byte blob.

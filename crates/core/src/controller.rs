@@ -123,6 +123,17 @@ pub struct MaintenanceController {
     journal: Journal,
 }
 
+// The proactive/predictive presence follows the config, so a restore
+// loads into the controller freshly built from the same config.
+dcmaint_ckpt::persist!(MaintenanceController {
+    proactive with dcmaint_ckpt::gated,
+    predictor with dcmaint_ckpt::gated,
+} skip {
+    cfg: "rebuilt from the scenario's ControllerConfig",
+    escalation: "stateless policy derived from the config",
+    journal: "event sink; the engine attaches its own",
+});
+
 impl MaintenanceController {
     /// Build from config.
     pub fn new(cfg: ControllerConfig) -> Self {
@@ -237,56 +248,6 @@ impl MaintenanceController {
     /// Immutable predictor access.
     pub fn predictor(&self) -> Option<&Predictor> {
         self.predictor.as_ref()
-    }
-
-    /// Append the controller's mutable state to a checkpoint: the
-    /// proactive planner's ledgers and the predictor's learned weights.
-    /// Configuration, the (stateless) escalation engine, and the journal
-    /// handle are not recorded.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        match &self.proactive {
-            None => enc.bool(false),
-            Some(p) => {
-                enc.bool(true);
-                p.save(enc);
-            }
-        }
-        match &self.predictor {
-            None => enc.bool(false),
-            Some(p) => {
-                enc.bool(true);
-                p.save(enc);
-            }
-        }
-    }
-
-    /// Restore checkpointed state into a controller freshly built from
-    /// the same config (so the proactive/predictive gating matches).
-    /// Inverse of [`MaintenanceController::save`].
-    pub fn restore(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
-        let has_proactive = dec.bool()?;
-        match (&mut self.proactive, has_proactive) {
-            (None, false) => {}
-            (Some(p), true) => p.restore(dec)?,
-            _ => {
-                return Err(dcmaint_ckpt::CkptError::BadTag(
-                    "controller-proactive",
-                    u64::from(has_proactive),
-                ))
-            }
-        }
-        let has_predictor = dec.bool()?;
-        match (&mut self.predictor, has_predictor) {
-            (None, false) => {}
-            (Some(p), true) => *p = Predictor::load(dec)?,
-            _ => {
-                return Err(dcmaint_ckpt::CkptError::BadTag(
-                    "controller-predictor",
-                    u64::from(has_predictor),
-                ))
-            }
-        }
-        Ok(())
     }
 
     /// Predictive config, if enabled.

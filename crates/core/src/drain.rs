@@ -38,6 +38,13 @@ pub struct PreContactAnnouncement {
     pub drained: Vec<LinkId>,
 }
 
+dcmaint_ckpt::persist!(PreContactAnnouncement {
+    target,
+    contacts,
+    expected_duration,
+    drained,
+});
+
 /// Result of drain planning.
 #[derive(Debug, Clone)]
 pub enum DrainDecision {

@@ -47,6 +47,13 @@ pub enum Executor {
     AutonomousRobot,
 }
 
+dcmaint_ckpt::persist_enum!(Executor: "executor" {
+    0 => Human,
+    1 => HumanWithDevice,
+    2 => SupervisedRobot,
+    3 => AutonomousRobot,
+});
+
 impl Executor {
     /// Short label for traces and tables.
     pub fn label(self) -> &'static str {

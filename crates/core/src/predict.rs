@@ -30,6 +30,16 @@ impl Default for Predictor {
     }
 }
 
+// Hyperparameters (`learning_rate`, `l2`) are recorded too: they are
+// public, and a scenario may have tuned them.
+dcmaint_ckpt::persist!(Predictor {
+    weights,
+    bias,
+    learning_rate,
+    l2,
+    seen,
+});
+
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
@@ -103,34 +113,6 @@ impl Predictor {
     pub fn weights(&self) -> &[f64; FEATURE_DIM] {
         &self.weights
     }
-
-    /// Append the model's learned state to a checkpoint. Hyperparameters
-    /// (`learning_rate`, `l2`) are recorded too — they are public and a
-    /// scenario may have tuned them.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        for w in &self.weights {
-            enc.f64(*w);
-        }
-        enc.f64(self.bias);
-        enc.f64(self.learning_rate);
-        enc.f64(self.l2);
-        enc.u64(self.seen);
-    }
-
-    /// Restore a model from a checkpoint. Inverse of [`Predictor::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let mut weights = [0.0; FEATURE_DIM];
-        for w in &mut weights {
-            *w = dec.f64()?;
-        }
-        Ok(Predictor {
-            weights,
-            bias: dec.f64()?,
-            learning_rate: dec.f64()?,
-            l2: dec.f64()?,
-            seen: dec.u64()?,
-        })
-    }
 }
 
 /// Running precision/recall bookkeeping for the predictive loop.
@@ -145,6 +127,13 @@ pub struct PredictionStats {
     /// Not flagged, did not fail.
     pub true_neg: u64,
 }
+
+dcmaint_ckpt::persist!(PredictionStats {
+    true_pos,
+    false_pos,
+    false_neg,
+    true_neg,
+});
 
 impl PredictionStats {
     /// Record one resolved prediction.

@@ -65,6 +65,9 @@ pub struct ProactivePlanner {
     last_campaign: BTreeMap<NodeId, SimTime>,
 }
 
+dcmaint_ckpt::persist!(ProactivePlanner { fixes, last_campaign }
+    skip { cfg: "rebuilt from the config; a tuned trigger is re-applied by its tuner" });
+
 impl ProactivePlanner {
     /// Planner with the given config.
     pub fn new(cfg: ProactiveConfig) -> Self {
@@ -142,49 +145,6 @@ impl ProactivePlanner {
         // Deterministic ordering for reproducibility.
         out.sort_by_key(|c| c.switch);
         out
-    }
-
-    /// Append the planner's fix history and cooldown ledger to a
-    /// checkpoint. Configuration is not recorded — the restoring side
-    /// rebuilds the planner from the same `ProactiveConfig`.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.usize(self.fixes.len());
-        for (n, times) in &self.fixes {
-            enc.u64(n.key());
-            enc.usize(times.len());
-            for t in times {
-                enc.u64(t.as_micros());
-            }
-        }
-        enc.usize(self.last_campaign.len());
-        for (n, t) in &self.last_campaign {
-            enc.u64(n.key());
-            enc.u64(t.as_micros());
-        }
-    }
-
-    /// Restore checkpointed state into this planner. Inverse of
-    /// [`ProactivePlanner::save`].
-    pub fn restore(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
-        let n_fixes = dec.usize()?;
-        self.fixes.clear();
-        for _ in 0..n_fixes {
-            let node = NodeId::from_index(dec.u64()? as usize);
-            let n_times = dec.usize()?;
-            let mut times = Vec::with_capacity(n_times);
-            for _ in 0..n_times {
-                times.push(SimTime::from_micros(dec.u64()?));
-            }
-            self.fixes.insert(node, times);
-        }
-        let n_last = dec.usize()?;
-        self.last_campaign.clear();
-        for _ in 0..n_last {
-            let node = NodeId::from_index(dec.u64()? as usize);
-            let t = SimTime::from_micros(dec.u64()?);
-            self.last_campaign.insert(node, t);
-        }
-        Ok(())
     }
 }
 

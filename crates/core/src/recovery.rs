@@ -174,6 +174,11 @@ pub struct RecoveryState {
     pub reassigns: u32,
 }
 
+dcmaint_ckpt::persist!(RecoveryState {
+    same_robot_retries,
+    reassigns,
+});
+
 /// The recovery policy: watchdog + backoff + ladder limits.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {

@@ -29,18 +29,11 @@ pub enum ZoneActor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClaimId(u64);
 
-impl ClaimId {
-    /// The raw handle value, for checkpoint encoding.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
+dcmaint_ckpt::persist_enum!(ZoneActor: "zone-actor" { 0 => Robot, 1 => Human });
 
-    /// Rebuild a handle from a checkpointed raw value. Only meaningful
-    /// together with a [`ZoneLedger`] restored from the same snapshot.
-    pub fn from_raw(v: u64) -> Self {
-        ClaimId(v)
-    }
-}
+// A claim handle is only meaningful together with a [`ZoneLedger`]
+// restored from the same snapshot.
+dcmaint_ckpt::persist!(ClaimId(raw));
 
 /// One active exclusion claim.
 #[derive(Debug, Clone)]
@@ -53,6 +46,16 @@ struct Claim {
     from: SimTime,
     until: SimTime,
 }
+
+dcmaint_ckpt::persist!(Claim {
+    id,
+    actor,
+    row,
+    col_lo,
+    col_hi,
+    from,
+    until,
+});
 
 /// Interlock configuration.
 #[derive(Debug, Clone)]
@@ -75,6 +78,9 @@ pub struct ZoneLedger {
     claims: Vec<Claim>,
     next_id: u64,
 }
+
+dcmaint_ckpt::persist!(ZoneLedger { next_id, claims }
+    skip { cfg: "rebuilt from the scenario's SafetyConfig" });
 
 impl ZoneLedger {
     /// New ledger.
@@ -223,47 +229,6 @@ impl ZoneLedger {
             .filter(|c| c.until > now)
             .map(|c| c.id)
             .collect()
-    }
-
-    /// Append the ledger's claims and id counter to a checkpoint.
-    /// Configuration is not recorded — the restoring side rebuilds the
-    /// ledger from the same `SafetyConfig`.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.next_id);
-        enc.usize(self.claims.len());
-        for c in &self.claims {
-            enc.u64(c.id.0);
-            enc.bool(c.actor == ZoneActor::Human);
-            enc.u32(c.row);
-            enc.u32(c.col_lo);
-            enc.u32(c.col_hi);
-            enc.u64(c.from.as_micros());
-            enc.u64(c.until.as_micros());
-        }
-    }
-
-    /// Restore checkpointed state into this ledger. Inverse of
-    /// [`ZoneLedger::save`].
-    pub fn restore(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
-        self.next_id = dec.u64()?;
-        let n = dec.usize()?;
-        self.claims.clear();
-        for _ in 0..n {
-            self.claims.push(Claim {
-                id: ClaimId(dec.u64()?),
-                actor: if dec.bool()? {
-                    ZoneActor::Human
-                } else {
-                    ZoneActor::Robot
-                },
-                row: dec.u32()?,
-                col_lo: dec.u32()?,
-                col_hi: dec.u32()?,
-                from: SimTime::from_micros(dec.u64()?),
-                until: SimTime::from_micros(dec.u64()?),
-            });
-        }
-        Ok(())
     }
 }
 

@@ -64,6 +64,35 @@ id_type!(
     TraySegmentId
 );
 
+/// Ids persist as their `u64` key; `$dec.$index()` reads it back.
+macro_rules! persist_id {
+    ($name:ident, |$dec:ident| $index:expr) => {
+        impl dcmaint_ckpt::Persist for $name {
+            #[inline]
+            fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
+                enc.u64(self.key());
+            }
+            #[inline]
+            fn load(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
+                *self = dcmaint_ckpt::Decode::decode(dec)?;
+                Ok(())
+            }
+        }
+        impl dcmaint_ckpt::Decode for $name {
+            #[inline]
+            fn decode($dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
+                Ok($name::from_index($index))
+            }
+        }
+    };
+}
+
+// A link id is the one id a snapshot hands straight to table indexing,
+// so it is range-checked against the topology's link count on decode
+// (`Dec::with_link_count`).
+persist_id!(LinkId, |d| d.link_index()?);
+persist_id!(NodeId, |d| d.u64()? as usize);
+
 #[cfg(test)]
 mod tests {
     use super::*;

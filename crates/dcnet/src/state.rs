@@ -58,6 +58,20 @@ pub enum AdminState {
     Maintenance,
 }
 
+dcmaint_ckpt::persist_enum!(LinkHealth: "link-health" {
+    0 => Up,
+    1 => Degraded,
+    2 => Flapping,
+    3 => Down,
+});
+
+dcmaint_ckpt::persist_enum!(AdminState: "admin-state" {
+    0 => InService,
+    1 => Draining,
+    2 => Drained,
+    3 => Maintenance,
+});
+
 /// Runtime state of one link.
 #[derive(Debug, Clone)]
 pub struct LinkState {
@@ -98,11 +112,19 @@ impl LinkState {
     }
 }
 
+dcmaint_ckpt::persist!(LinkState {
+    health,
+    admin,
+    loss_rate,
+});
+
 /// Runtime state for every link in a topology.
 #[derive(Debug, Clone)]
 pub struct NetState {
     links: Vec<LinkState>,
 }
+
+dcmaint_ckpt::persist!(NetState { links with dcmaint_ckpt::fixed_len });
 
 impl NetState {
     /// All-healthy state for `topo`.

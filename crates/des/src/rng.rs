@@ -151,6 +151,28 @@ impl<'a, D> RngRestore<'a, D> {
     }
 }
 
+/// A stream persists as its draw count; `(label, index)` come from the
+/// configuration that rebuilt it. Loading fast-forwards to the recorded
+/// position — a no-op for a stream already [`Stream::reposition`]ed
+/// onto an adopted donor — unless the decoder keeps positions (a
+/// reseeded fork). A recorded position behind the stream is corrupt.
+impl dcmaint_ckpt::Persist for Stream {
+    fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
+        enc.u64(self.draws);
+    }
+
+    fn load(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
+        let target = dec.u64()?;
+        if dec.replays_positions() {
+            if target < self.draws {
+                return Err(dcmaint_ckpt::CkptError::BadTag("stream-position", target));
+            }
+            self.fast_forward_to(target);
+        }
+        Ok(())
+    }
+}
+
 /// One deterministic random stream. Wraps `SmallRng` and adds the sampling
 /// helpers the simulation needs.
 ///
@@ -234,6 +256,18 @@ impl Stream {
             StreamRestore::Reseed(root) => {
                 *self = root.stream(&self.label.clone(), self.index);
             }
+        }
+    }
+
+    /// Position this stream for a fork *before* its recorded position
+    /// loads: adopt the live donor (O(1)) or re-derive under a branch
+    /// root at draw 0 (O(1)). `Replay` leaves the stream for the load
+    /// to fast-forward.
+    pub fn reposition(&mut self, how: StreamRestore<'_>) {
+        match how {
+            StreamRestore::Replay => {}
+            StreamRestore::Adopt(donor) => self.restore_pos(donor.draws, how),
+            StreamRestore::Reseed(_) => self.restore_pos(0, how),
         }
     }
 

@@ -38,6 +38,8 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
+use dcmaint_ckpt::{CkptError, Dec, Decode, Enc, Persist};
+
 use crate::time::{SimDuration, SimTime};
 
 /// Handle identifying a scheduled event, usable to cancel it before firing.
@@ -348,72 +350,53 @@ impl<E> Scheduler<E> {
     pub fn prof(&self) -> SchedProf {
         self.prof
     }
+}
 
-    /// Overwrite the profile counters — used by checkpoint restore so a
-    /// resumed scheduler reports the same lifetime totals a continuous
-    /// run would. Separate from [`Scheduler::restore`] to keep that
-    /// signature (and older snapshots' decode paths) stable.
-    pub fn set_prof(&mut self, prof: SchedProf) {
-        self.prof = prof;
+dcmaint_ckpt::persist!(SchedProf {
+    scheduled,
+    dropped_horizon,
+    canceled,
+    compactions,
+    max_pending,
+});
+
+/// The scheduler persists its clock, counters and pending queue —
+/// tombstoned entries included, so a restored run compacts at the same
+/// instants a continuous one does. Written by hand rather than with
+/// `persist!`: the heap is exported in canonical `(at, seq)` order (two
+/// schedulers holding the same logical queue encode identically,
+/// whatever their heap layout history), and the tombstone count is
+/// recomputed from the entries on load rather than stored.
+impl<E: Decode> Persist for Scheduler<E> {
+    fn save(&self, enc: &mut Enc) {
+        let Scheduler {
+            heap,
+            now,
+            seq,
+            canceled,
+            tombstones: _,
+            delivered,
+            horizon,
+            prof,
+        } = self;
+        now.save(enc);
+        seq.save(enc);
+        delivered.save(enc);
+        horizon.save(enc);
+        let mut entries: Vec<&Entry<E>> = heap.iter().collect();
+        entries.sort_by_key(|e| (e.at, e.seq));
+        enc.usize(entries.len());
+        for e in entries {
+            e.at.save(enc);
+            e.seq.save(enc);
+            e.payload.save(enc);
+        }
+        canceled.save(enc);
+        prof.save(enc);
     }
 
-    // ----- checkpoint support ----------------------------------------
-
-    /// Export the pending queue in canonical `(at, seq)` order, each
-    /// entry as `(at, seq, &payload)`. Tombstoned entries are included —
-    /// a snapshot must reproduce the queue *exactly* so a restored run
-    /// compacts at the same instants a continuous one does. The sort
-    /// makes the serialization canonical: two schedulers holding the
-    /// same logical queue export identical sequences regardless of heap
-    /// layout history.
-    pub fn export_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut v: Vec<(SimTime, u64, &E)> = self
-            .heap
-            .iter()
-            .map(|e| (e.at, e.seq, &e.payload))
-            .collect();
-        v.sort_by_key(|&(at, seq, _)| (at, seq));
-        v
-    }
-
-    /// Export the tombstone set (canceled keys not yet lazily removed,
-    /// plus keys canceled after firing).
-    pub fn export_canceled(&self) -> Vec<u64> {
-        self.canceled.iter().copied().collect()
-    }
-
-    /// The next sequence number to be assigned (exported so a restored
-    /// scheduler hands out the same keys a continuous one would).
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Rebuild a scheduler from exported state. `entries` are `(at, seq,
-    /// payload)` triples in the canonical order [`Scheduler::export_entries`]
-    /// produces; `canceled` is the exported tombstone set. The tombstone
-    /// count is recomputed exactly (every canceled key matched against
-    /// the entries), so compaction behavior after restore is identical
-    /// to the continuous run's.
-    pub fn restore(
-        now: SimTime,
-        seq: u64,
-        delivered: u64,
-        horizon: SimTime,
-        entries: Vec<(SimTime, u64, E)>,
-        canceled: Vec<u64>,
-    ) -> Self {
-        let canceled: BTreeSet<u64> = canceled.into_iter().collect();
-        let tombstones = entries
-            .iter()
-            .filter(|(_, s, _)| canceled.contains(s))
-            .count();
-        let heap = BinaryHeap::from(
-            entries
-                .into_iter()
-                .map(|(at, seq, payload)| Entry { at, seq, payload })
-                .collect::<Vec<_>>(),
-        );
-        Scheduler {
+    fn load(&mut self, dec: &mut Dec) -> Result<(), CkptError> {
+        let Scheduler {
             heap,
             now,
             seq,
@@ -421,10 +404,23 @@ impl<E> Scheduler<E> {
             tombstones,
             delivered,
             horizon,
-            // Lifetime counters are not part of this signature; callers
-            // that persist them reinstate via `set_prof`.
-            prof: SchedProf::default(),
-        }
+            prof,
+        } = self;
+        now.load(dec)?;
+        seq.load(dec)?;
+        delivered.load(dec)?;
+        horizon.load(dec)?;
+        let entries: Vec<(SimTime, u64, E)> = Decode::decode(dec)?;
+        canceled.load(dec)?;
+        *tombstones = entries
+            .iter()
+            .filter(|(_, s, _)| canceled.contains(s))
+            .count();
+        *heap = entries
+            .into_iter()
+            .map(|(at, seq, payload)| Entry { at, seq, payload })
+            .collect();
+        prof.load(dec)
     }
 }
 
@@ -596,8 +592,20 @@ mod tests {
         assert_eq!(s.live_len(), 1);
     }
 
+    /// Encode `s` and load the bytes into a fresh scheduler.
+    fn round_trip(s: &Scheduler<u64>) -> Scheduler<u64> {
+        let mut enc = Enc::new();
+        s.save(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Dec::new(&bytes);
+        let mut restored = Scheduler::new();
+        restored.load(&mut dec).unwrap();
+        assert!(dec.is_exhausted());
+        restored
+    }
+
     #[test]
-    fn export_restore_round_trip_preserves_delivery() {
+    fn save_load_round_trip_preserves_delivery() {
         let mut s = Scheduler::with_horizon(SimTime::from_micros(10_000));
         for i in 0..20u64 {
             s.schedule(SimTime::from_micros(100 + 7 * i), i);
@@ -608,25 +616,8 @@ mod tests {
         for _ in 0..5 {
             s.pop();
         }
-        // Snapshot.
-        let entries: Vec<(SimTime, u64, u64)> = s
-            .export_entries()
-            .into_iter()
-            .map(|(at, seq, p)| (at, seq, *p))
-            .collect();
-        // Canonical order is sorted (at, seq).
-        let mut sorted = entries.clone();
-        sorted.sort_by_key(|&(at, seq, _)| (at, seq));
-        assert_eq!(entries, sorted);
-        let canceled = s.export_canceled();
-        let mut restored = Scheduler::restore(
-            s.now(),
-            s.next_seq(),
-            s.delivered(),
-            s.horizon(),
-            entries,
-            canceled,
-        );
+        let mut restored = round_trip(&s);
+        assert_eq!(restored.tombstones, s.tombstones);
         // Both deliver identical (time, payload, key) sequences from here.
         loop {
             let a = s.pop();
@@ -665,18 +656,8 @@ mod tests {
         assert_eq!(p.canceled, 8);
         assert_eq!(p.max_pending, 10);
         assert!(p.compactions >= 1, "mass cancel must trigger compaction");
-        // Restore starts the counters fresh; set_prof reinstates them.
-        let mut restored: Scheduler<u64> = Scheduler::restore(
-            s.now(),
-            s.next_seq(),
-            s.delivered(),
-            s.horizon(),
-            vec![],
-            vec![],
-        );
-        assert_eq!(restored.prof(), SchedProf::default());
-        restored.set_prof(p);
-        assert_eq!(restored.prof(), p);
+        // The lifetime counters ride the checkpoint.
+        assert_eq!(round_trip(&s).prof(), p);
     }
 
     #[test]

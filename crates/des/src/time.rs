@@ -33,6 +33,9 @@ pub struct SimTime(u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+dcmaint_ckpt::persist!(SimTime(us));
+dcmaint_ckpt::persist!(SimDuration(us));
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);

@@ -40,33 +40,17 @@ pub enum RootCause {
     FirmwareHang,
 }
 
+// Checkpoint tags: never reorder without bumping the format version.
+dcmaint_ckpt::persist_enum!(RootCause: "root-cause" {
+    0 => DirtyEndFace,
+    1 => OxidizedContact,
+    2 => TransceiverWear,
+    3 => DamagedFiber,
+    4 => SwitchPortFault,
+    5 => FirmwareHang,
+});
+
 impl RootCause {
-    /// Stable checkpoint tag (do not reorder without bumping the
-    /// checkpoint format version).
-    pub fn ckpt_tag(self) -> u8 {
-        match self {
-            RootCause::DirtyEndFace => 0,
-            RootCause::OxidizedContact => 1,
-            RootCause::TransceiverWear => 2,
-            RootCause::DamagedFiber => 3,
-            RootCause::SwitchPortFault => 4,
-            RootCause::FirmwareHang => 5,
-        }
-    }
-
-    /// Inverse of [`RootCause::ckpt_tag`].
-    pub fn from_ckpt_tag(tag: u8) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(match tag {
-            0 => RootCause::DirtyEndFace,
-            1 => RootCause::OxidizedContact,
-            2 => RootCause::TransceiverWear,
-            3 => RootCause::DamagedFiber,
-            4 => RootCause::SwitchPortFault,
-            5 => RootCause::FirmwareHang,
-            t => return Err(dcmaint_ckpt::CkptError::BadTag("root-cause", u64::from(t))),
-        })
-    }
-
     /// All causes, for iteration.
     pub const ALL: [RootCause; 6] = [
         RootCause::DirtyEndFace,
@@ -208,6 +192,14 @@ pub enum RepairAction {
     ReplaceSwitchHardware,
 }
 
+dcmaint_ckpt::persist_enum!(RepairAction: "repair-action" {
+    0 => Reseat,
+    1 => CleanEndFace,
+    2 => ReplaceTransceiver,
+    3 => ReplaceCable,
+    4 => ReplaceSwitchHardware,
+});
+
 impl RepairAction {
     /// The escalation ladder in paper order.
     pub const LADDER: [RepairAction; 5] = [
@@ -227,35 +219,6 @@ impl RepairAction {
             RepairAction::ReplaceCable => "repl-cable",
             RepairAction::ReplaceSwitchHardware => "repl-switch",
         }
-    }
-
-    /// Stable checkpoint tag (do not reorder without bumping the
-    /// checkpoint format version).
-    pub fn ckpt_tag(self) -> u8 {
-        match self {
-            RepairAction::Reseat => 0,
-            RepairAction::CleanEndFace => 1,
-            RepairAction::ReplaceTransceiver => 2,
-            RepairAction::ReplaceCable => 3,
-            RepairAction::ReplaceSwitchHardware => 4,
-        }
-    }
-
-    /// Inverse of [`RepairAction::ckpt_tag`].
-    pub fn from_ckpt_tag(tag: u8) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(match tag {
-            0 => RepairAction::Reseat,
-            1 => RepairAction::CleanEndFace,
-            2 => RepairAction::ReplaceTransceiver,
-            3 => RepairAction::ReplaceCable,
-            4 => RepairAction::ReplaceSwitchHardware,
-            t => {
-                return Err(dcmaint_ckpt::CkptError::BadTag(
-                    "repair-action",
-                    u64::from(t),
-                ))
-            }
-        })
     }
 
     /// Whether the action is physically possible on the given medium.

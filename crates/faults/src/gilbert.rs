@@ -20,6 +20,8 @@ pub enum FlapPhase {
     Bad,
 }
 
+dcmaint_ckpt::persist_enum!(FlapPhase: "flap-phase" { 0 => Good, 1 => Bad });
+
 /// One link's flapping process.
 #[derive(Debug, Clone)]
 pub struct FlapProcess {
@@ -33,6 +35,14 @@ pub struct FlapProcess {
     pub loss_good: f64,
     phase: FlapPhase,
 }
+
+dcmaint_ckpt::persist!(FlapProcess {
+    mean_good,
+    mean_bad,
+    loss_bad,
+    loss_good,
+    phase,
+});
 
 impl FlapProcess {
     /// Standard flap profile: minutes-scale good periods, seconds-to-
@@ -83,30 +93,6 @@ impl FlapProcess {
             mean: mean.as_secs_f64().max(1e-6),
         }
         .sample_duration(rng)
-    }
-
-    /// Append this process's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.mean_good.as_micros());
-        enc.u64(self.mean_bad.as_micros());
-        enc.f64(self.loss_bad);
-        enc.f64(self.loss_good);
-        enc.bool(self.phase == FlapPhase::Bad);
-    }
-
-    /// Inverse of [`FlapProcess::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(FlapProcess {
-            mean_good: SimDuration::from_micros(dec.u64()?),
-            mean_bad: SimDuration::from_micros(dec.u64()?),
-            loss_bad: dec.f64()?,
-            loss_good: dec.f64()?,
-            phase: if dec.bool()? {
-                FlapPhase::Bad
-            } else {
-                FlapPhase::Good
-            },
-        })
     }
 
     /// Long-run fraction of time spent in the Bad phase.

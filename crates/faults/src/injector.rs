@@ -71,6 +71,9 @@ pub struct FaultInjector {
     manifests: Stream,
 }
 
+dcmaint_ckpt::persist!(FaultInjector { arrivals, causes, manifests }
+    skip { cfg: "rebuilt from the scenario's FaultConfig" });
+
 impl FaultInjector {
     /// New injector drawing from the given RNG root.
     pub fn new(cfg: FaultConfig, rng: &SimRng) -> Self {
@@ -121,32 +124,13 @@ impl FaultInjector {
         .sample_duration(&mut self.manifests)
     }
 
-    /// Append the injector's RNG positions to a checkpoint. The config is
-    /// rebuilt from the scenario config on restore, so only stream
-    /// positions are recorded.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.arrivals.draws());
-        enc.u64(self.causes.draws());
-        enc.u64(self.manifests.draws());
-    }
-
-    /// Reposition a freshly constructed injector at checkpointed stream
-    /// positions. Inverse of [`FaultInjector::save`]. `rng` picks how:
-    /// replay the recorded draw counts (disk restore), adopt the live
-    /// donor injector's streams (in-memory fork), or reseed under a
-    /// branch root (twin planning).
-    pub fn restore_draws(
-        &mut self,
-        dec: &mut dcmaint_ckpt::Dec,
-        rng: dcmaint_des::RngRestore<'_, FaultInjector>,
-    ) -> Result<(), dcmaint_ckpt::CkptError> {
-        self.arrivals
-            .restore_pos(dec.u64()?, rng.stream(|i| &i.arrivals));
-        self.causes
-            .restore_pos(dec.u64()?, rng.stream(|i| &i.causes));
-        self.manifests
-            .restore_pos(dec.u64()?, rng.stream(|i| &i.manifests));
-        Ok(())
+    /// Position the injector's RNG streams for a fork before its
+    /// checkpoint loads: adopt the live donor injector's (in-memory
+    /// fork) or re-derive them under a branch root (twin planning).
+    pub fn reposition_streams(&mut self, rng: dcmaint_des::RngRestore<'_, FaultInjector>) {
+        self.arrivals.reposition(rng.stream(|i| &i.arrivals));
+        self.causes.reposition(rng.stream(|i| &i.causes));
+        self.manifests.reposition(rng.stream(|i| &i.manifests));
     }
 
     fn manifest(&mut self, link: LinkId, cause: RootCause) -> Incident {

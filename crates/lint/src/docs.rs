@@ -67,15 +67,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         suppression: "// lint:allow(forbid-unsafe): <why this crate root cannot carry the attribute>",
     },
     RuleDoc {
-        rule: rules::SNAPSHOT_COVERAGE,
-        rationale: "The restore ≡ continuous contract only holds if every Engine state field \
-                    round-trips through the snapshot codec. A field added to Engine (or a nested \
-                    state struct) but not to snapshot.rs silently diverges after restore — the \
-                    exact bug class that forced the PR 7 checkpoint format bump.",
-        example: "pub struct Engine { …, new_counter: u64 } // with no save/load in snapshot.rs",
-        suppression: "// lint:allow(snapshot-coverage): <why this field is observational/derived, not state>",
-    },
-    RuleDoc {
         rule: rules::EVENT_COVERAGE,
         rationale: "The profiler's attribution tiling and the journal's completeness are only \
                     as good as their coverage: an Ev variant without an explicit prof_attribution \

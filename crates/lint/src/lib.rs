@@ -119,9 +119,9 @@ pub fn lint_sources(
 /// Two passes: the per-line rules run file-by-file, then the semantic
 /// rules ([`semantic`]) run over the whole item model at once. All
 /// findings are grouped back to their anchor file *before* inline
-/// suppressions apply, so a `lint:allow(snapshot-coverage)` on an
-/// `Engine` field works exactly like the syntactic allows — and
-/// unused-allow hygiene stays accurate.
+/// suppressions apply, so a `lint:allow(event-coverage)` on an `Ev`
+/// variant works exactly like the syntactic allows — and unused-allow
+/// hygiene stays accurate.
 pub fn lint_sources_with(
     files: &[(String, String)],
     baseline: Option<(&str, &str)>,

@@ -28,9 +28,6 @@ pub const FLOAT_FOLD: &str = "float-fold";
 pub const PRINT_IN_LIB: &str = "print-in-lib";
 /// Crate roots must carry `#![forbid(unsafe_code)]`.
 pub const FORBID_UNSAFE: &str = "forbid-unsafe";
-/// Semantic: every `Engine` state field must round-trip through the
-/// snapshot codec (see [`crate::semantic`]).
-pub const SNAPSHOT_COVERAGE: &str = "snapshot-coverage";
 /// Semantic: every `Ev` variant needs a `prof_attribution` arm and a
 /// reachable journal/trace emission.
 pub const EVENT_COVERAGE: &str = "event-coverage";
@@ -51,7 +48,6 @@ pub const ALL_RULES: &[&str] = &[
     FLOAT_FOLD,
     PRINT_IN_LIB,
     FORBID_UNSAFE,
-    SNAPSHOT_COVERAGE,
     EVENT_COVERAGE,
     RNG_STREAM,
     LOCK_ORDER,
@@ -68,7 +64,6 @@ pub const SUPPRESSIBLE_RULES: &[&str] = &[
     FLOAT_FOLD,
     PRINT_IN_LIB,
     FORBID_UNSAFE,
-    SNAPSHOT_COVERAGE,
     EVENT_COVERAGE,
     RNG_STREAM,
     LOCK_ORDER,
@@ -87,7 +82,6 @@ pub fn describe(rule: &str) -> &'static str {
         FLOAT_FOLD => "float reduction over map values()/keys() — order-sensitive",
         PRINT_IN_LIB => "println!/eprintln!/dbg! in library code (use ReportWriter/journal)",
         FORBID_UNSAFE => "crate root missing #![forbid(unsafe_code)]",
-        SNAPSHOT_COVERAGE => "Engine state field missing from the snapshot save/restore codec",
         EVENT_COVERAGE => "Ev variant without prof_attribution arm or reachable journal emission",
         RNG_STREAM => "RNG draw outside a named Stream field / sanctioned derivation",
         LOCK_ORDER => "nested Mutex acquisition violating the declared lint-locks.txt order",

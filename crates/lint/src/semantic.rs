@@ -2,28 +2,27 @@
 //!
 //! Where [`crate::rules`] pattern-matches single blanked lines, the
 //! rules here reason about *items across files* ([`crate::model`]):
-//! the `Engine` struct vs. the snapshot codec, the `Ev` enum vs. its
-//! profiler/journal coverage, RNG draw sites vs. the named-stream
-//! discipline, and `Mutex` acquisition order vs. a declared hierarchy.
-//! Each is a static shadow of a dynamic contract the CI gates already
-//! enforce at runtime (restore ≡ continuous, counted-draw twin replay,
+//! the `Ev` enum vs. its profiler/journal coverage, RNG draw sites vs.
+//! the named-stream discipline, and `Mutex` acquisition order vs. a
+//! declared hierarchy. Each is a static shadow of a dynamic contract
+//! the CI gates already enforce at runtime (counted-draw twin replay,
 //! attribution tiling, deadlock-freedom) — the point is to catch the
-//! drift at lint time, before a long run discovers it.
+//! drift at lint time, before a long run discovers it. (Snapshot
+//! coverage needs no lint: `dcmaint_ckpt::persist!` destructures every
+//! state type exhaustively, so the compiler enforces it.)
 //!
-//! All four are deliberate over-approximations on token streams, not
+//! All three are deliberate over-approximations on token streams, not
 //! proofs; the escape hatch is the same `// lint:allow(rule): reason`
 //! the syntactic rules use, so every exception is justified in place.
 
 use crate::model::{arms_of_first_match, FileModel};
-use crate::rules::{EVENT_COVERAGE, LOCK_ORDER, RNG_STREAM, SNAPSHOT_COVERAGE};
+use crate::rules::{EVENT_COVERAGE, LOCK_ORDER, RNG_STREAM};
 use crate::tokens::Tok;
 use crate::{FileKind, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Where the engine state and the `Ev` enum live.
+/// Where the `Ev` enum and its dispatch live.
 pub const ENGINE_FILE: &str = "crates/scenarios/src/engine.rs";
-/// The snapshot codec whose save/load sides must cover every field.
-pub const SNAPSHOT_FILE: &str = "crates/scenarios/src/snapshot.rs";
 /// The path prefix whose fns form the event-coverage call universe:
 /// the engine delegates emission to component crates (robotics,
 /// tickets, telemetry…) that hold cloned journal handles, so the
@@ -31,17 +30,6 @@ pub const SNAPSHOT_FILE: &str = "crates/scenarios/src/snapshot.rs";
 const EVENT_UNIVERSE: &str = "crates/";
 /// Engine code where every RNG draw must go through a named stream.
 const RNG_SCOPES: &[&str] = &["crates/scenarios/src/", "crates/twin/src/"];
-
-/// Save-side codec fns: writers plus the entry points that serialize.
-fn is_save_fn(name: &str) -> bool {
-    name.starts_with("save") || matches!(name, "snapshot" | "fork_bytes" | "state_hash")
-}
-
-/// Load-side codec fns. (`profiled_restore` is an instrumented
-/// wrapper, not a codec — prefix match keeps it out.)
-fn is_load_fn(name: &str) -> bool {
-    name.starts_with("load") || name.starts_with("restore")
-}
 
 /// Stream draw methods (from `des::rng::Stream`); a call to one of
 /// these consumes the counted draw tape.
@@ -83,7 +71,6 @@ impl SemFile<'_> {
 /// order; findings come back unsorted (the caller canonicalizes).
 pub fn check(files: &[SemFile<'_>], locks: Option<&LockHierarchy>) -> Vec<Finding> {
     let mut out = Vec::new();
-    snapshot_coverage(files, &mut out);
     event_coverage(files, &mut out);
     rng_stream_discipline(files, &mut out);
     if let Some(h) = locks {
@@ -94,81 +81,6 @@ pub fn check(files: &[SemFile<'_>], locks: Option<&LockHierarchy>) -> Vec<Findin
 
 fn file<'a, 'b>(files: &'a [SemFile<'b>], rel: &str) -> Option<&'a SemFile<'b>> {
     files.iter().find(|f| f.rel == rel)
-}
-
-// ---------------------------------------------------------------- //
-// snapshot-coverage
-// ---------------------------------------------------------------- //
-
-/// Every field of `Engine` and of the state structs it (transitively)
-/// embeds must be referenced by both the save side and the load side
-/// of the snapshot codec. A field missing from either is a latent
-/// restore divergence — exactly the bug class the "restore ≡
-/// continuous" property test only catches if the field happens to
-/// influence an output byte within the test horizon.
-fn snapshot_coverage(files: &[SemFile<'_>], out: &mut Vec<Finding>) {
-    let (Some(eng), Some(snap)) = (file(files, ENGINE_FILE), file(files, SNAPSHOT_FILE)) else {
-        return;
-    };
-    let mut save_idents: BTreeSet<&str> = BTreeSet::new();
-    let mut load_idents: BTreeSet<&str> = BTreeSet::new();
-    for f in &snap.model.fns {
-        let Some(body) = f.body.clone() else { continue };
-        if is_save_fn(&f.name) {
-            save_idents.extend(snap.model.idents_in(body.clone()));
-        }
-        if is_load_fn(&f.name) {
-            load_idents.extend(snap.model.idents_in(body));
-        }
-    }
-    if save_idents.is_empty() || load_idents.is_empty() {
-        return; // no codec in scope (fixture trees) — nothing to hold against
-    }
-    // Transitive closure of state structs, restricted to structs
-    // defined in the engine file: `Engine` itself plus every struct a
-    // covered field's type mentions (ActiveIncident, LinkRt, …).
-    let local: BTreeSet<&str> = eng.model.structs.iter().map(|s| s.name.as_str()).collect();
-    let mut closure: Vec<&str> = vec!["Engine"];
-    let mut seen: BTreeSet<&str> = closure.iter().copied().collect();
-    let mut i = 0;
-    while i < closure.len() {
-        if let Some(s) = eng.model.struct_named(closure[i]) {
-            for fld in &s.fields {
-                for ty in &fld.ty {
-                    if local.contains(ty.as_str()) && seen.insert(ty) {
-                        closure.push(ty);
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    for name in closure {
-        let Some(s) = eng.model.struct_named(name) else {
-            continue;
-        };
-        for fld in &s.fields {
-            let missing = if !save_idents.contains(fld.name.as_str()) {
-                Some("save")
-            } else if !load_idents.contains(fld.name.as_str()) {
-                Some("restore")
-            } else {
-                None
-            };
-            if let Some(side) = missing {
-                out.push(Finding::new(
-                    eng.rel,
-                    fld.line,
-                    SNAPSHOT_COVERAGE,
-                    format!(
-                        "field `{}.{}` is not referenced on the {side} side of the snapshot codec ({}); \
-                         an unsnapshotted field silently diverges on restore",
-                        s.name, fld.name, SNAPSHOT_FILE,
-                    ),
-                ));
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------- //

@@ -130,10 +130,6 @@ fn pipeline_total(src: &str) {
             "crates/scenarios/src/engine.rs".to_string(),
             src.to_string(),
         ),
-        (
-            "crates/scenarios/src/snapshot.rs".to_string(),
-            src.to_string(),
-        ),
         ("crates/serve/src/server.rs".to_string(), src.to_string()),
     ];
     let _ = lint_sources_with(&files, None, Some(LOCKS));

@@ -31,6 +31,15 @@ pub struct AvailabilityTracker {
     transitions_down: u64,
 }
 
+dcmaint_ckpt::persist!(AvailabilityTracker {
+    up,
+    since,
+    up_total,
+    down_total,
+    transitions_down,
+    downtime_windows,
+});
+
 impl AvailabilityTracker {
     /// New tracker starting in the `up` state at `start`.
     pub fn starting_up(start: SimTime) -> Self {
@@ -70,28 +79,6 @@ impl AvailabilityTracker {
     /// Whether the entity is currently up.
     pub fn is_up(&self) -> bool {
         self.up
-    }
-
-    /// Append this tracker's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.bool(self.up);
-        enc.u64(self.since.as_micros());
-        enc.u64(self.up_total.as_micros());
-        enc.u64(self.down_total.as_micros());
-        enc.u64(self.transitions_down);
-        self.downtime_windows.save(enc);
-    }
-
-    /// Inverse of [`AvailabilityTracker::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(AvailabilityTracker {
-            up: dec.bool()?,
-            since: SimTime::from_micros(dec.u64()?),
-            up_total: SimDuration::from_micros(dec.u64()?),
-            down_total: SimDuration::from_micros(dec.u64()?),
-            transitions_down: dec.u64()?,
-            downtime_windows: crate::stats::DurationSamples::load(dec)?,
-        })
     }
 
     /// Close the ledger at `end` (attributing the open interval) and return
@@ -161,6 +148,8 @@ pub struct FleetAvailability {
     start: SimTime,
 }
 
+dcmaint_ckpt::persist!(FleetAvailability { start, trackers });
+
 impl FleetAvailability {
     /// New fleet ledger; entities are lazily created in the `up` state at
     /// `start` on first touch.
@@ -196,28 +185,6 @@ impl FleetAvailability {
     /// Number of tracked entities (ones ever touched).
     pub fn tracked(&self) -> usize {
         self.trackers.len()
-    }
-
-    /// Append this ledger's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.start.as_micros());
-        enc.usize(self.trackers.len());
-        for (&key, tr) in &self.trackers {
-            enc.u64(key);
-            tr.save(enc);
-        }
-    }
-
-    /// Inverse of [`FleetAvailability::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let start = SimTime::from_micros(dec.u64()?);
-        let n = dec.usize()?;
-        let mut trackers = BTreeMap::new();
-        for _ in 0..n {
-            let key = dec.u64()?;
-            trackers.insert(key, AvailabilityTracker::load(dec)?);
-        }
-        Ok(FleetAvailability { trackers, start })
     }
 
     /// Fleet-wide summary at `end` over `population` entities. Entities

@@ -69,6 +69,14 @@ pub struct CostLedger {
     pub redundancy: f64,
 }
 
+dcmaint_ckpt::persist!(CostLedger {
+    labor,
+    robots,
+    hardware,
+    downtime,
+    redundancy,
+});
+
 impl CostLedger {
     /// Empty ledger.
     pub fn new() -> Self {
@@ -110,26 +118,6 @@ impl CostLedger {
     /// Grand total (USD).
     pub fn total(&self) -> f64 {
         self.labor + self.robots + self.hardware + self.downtime + self.redundancy
-    }
-
-    /// Append this ledger's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.f64(self.labor);
-        enc.f64(self.robots);
-        enc.f64(self.hardware);
-        enc.f64(self.downtime);
-        enc.f64(self.redundancy);
-    }
-
-    /// Inverse of [`CostLedger::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(CostLedger {
-            labor: dec.f64()?,
-            robots: dec.f64()?,
-            hardware: dec.f64()?,
-            downtime: dec.f64()?,
-            redundancy: dec.f64()?,
-        })
     }
 
     /// Merge another ledger into this one.

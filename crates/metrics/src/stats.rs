@@ -138,6 +138,15 @@ impl Default for SampleSet {
     }
 }
 
+// `cap` is `usize::MAX` when uncapped; the codec maps that sentinel to
+// `u64::MAX` on every target.
+dcmaint_ckpt::persist!(SampleSet {
+    seen,
+    cap,
+    sorted,
+    samples,
+});
+
 impl SampleSet {
     /// Unbounded collector (use when total sample count is known to be
     /// modest, e.g. one entry per ticket).
@@ -290,45 +299,6 @@ impl SampleSet {
     pub fn mean_ci95(&self) -> Ci95 {
         mean_ci95(&self.samples)
     }
-
-    /// Append this collector's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.seen);
-        // `usize::MAX` means "uncapped" and must survive 32-bit targets.
-        enc.u64(if self.cap == usize::MAX {
-            u64::MAX
-        } else {
-            self.cap as u64
-        });
-        enc.bool(self.sorted);
-        enc.usize(self.samples.len());
-        for &x in &self.samples {
-            enc.f64(x);
-        }
-    }
-
-    /// Inverse of [`SampleSet::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let seen = dec.u64()?;
-        let cap_raw = dec.u64()?;
-        let cap = if cap_raw == u64::MAX {
-            usize::MAX
-        } else {
-            cap_raw as usize
-        };
-        let sorted = dec.bool()?;
-        let n = dec.usize()?;
-        let mut samples = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            samples.push(dec.f64()?);
-        }
-        Ok(SampleSet {
-            samples,
-            seen,
-            cap,
-            sorted,
-        })
-    }
 }
 
 /// A mean with a symmetric 95% confidence half-width.
@@ -465,6 +435,8 @@ pub fn mean_ci95(samples: &[f64]) -> Ci95 {
 #[derive(Debug, Clone, Default)]
 pub struct DurationSamples(SampleSet);
 
+dcmaint_ckpt::persist!(DurationSamples(samples));
+
 impl DurationSamples {
     /// Empty, uncapped collector.
     pub fn new() -> Self {
@@ -504,16 +476,6 @@ impl DurationSamples {
     /// Access the underlying seconds-valued sample set.
     pub fn as_samples(&mut self) -> &mut SampleSet {
         &mut self.0
-    }
-
-    /// Append this collector's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        self.0.save(enc);
-    }
-
-    /// Inverse of [`DurationSamples::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(DurationSamples(SampleSet::load(dec)?))
     }
 }
 
@@ -630,6 +592,8 @@ impl Default for Beta {
     }
 }
 
+dcmaint_ckpt::persist!(Beta { alpha, beta });
+
 impl Beta {
     /// Posterior seeded with prior pseudo-counts `α₀` successes and
     /// `β₀` failures. Non-positive priors are clamped to a proper
@@ -681,20 +645,6 @@ impl Beta {
     /// observation count track it via [`Beta::weight`]).
     pub fn weight(&self) -> f64 {
         self.alpha + self.beta
-    }
-
-    /// Append the posterior to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.f64(self.alpha);
-        enc.f64(self.beta);
-    }
-
-    /// Inverse of [`Beta::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(Beta {
-            alpha: dec.f64()?,
-            beta: dec.f64()?,
-        })
     }
 }
 
@@ -994,11 +944,12 @@ mod tests {
         for i in 0..13 {
             b.observe(i % 3 == 0);
         }
+        use dcmaint_ckpt::{Decode, Persist};
         let mut enc = dcmaint_ckpt::Enc::new();
         b.save(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = dcmaint_ckpt::Dec::new(&bytes);
-        let back = Beta::load(&mut dec).unwrap();
+        let back = Beta::decode(&mut dec).unwrap();
         assert!(dec.is_exhausted());
         assert_eq!(b, back);
     }

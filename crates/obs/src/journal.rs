@@ -50,12 +50,26 @@ struct Inner {
     dropped: u64,
 }
 
+// The ring contents ride the checkpoint, so a restored run's dump is
+// byte-identical to an uninterrupted one.
+dcmaint_ckpt::persist!(Inner {
+    now,
+    cap,
+    emitted,
+    dropped,
+    lines,
+});
+
 /// Cheap-to-clone handle on the shared event journal. A default-built
 /// handle is disabled and free.
 #[derive(Clone, Default)]
 pub struct Journal {
     inner: Option<Rc<RefCell<Inner>>>,
 }
+
+// Loads into the shared ring, so every subsystem's clone observes the
+// restored state; the handle's enabled-ness must match the snapshot's.
+dcmaint_ckpt::persist!(Journal { inner with dcmaint_ckpt::gated });
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -136,54 +150,6 @@ impl Journal {
         }
         g.emitted += 1;
         g.lines.push_back(line);
-    }
-
-    /// Append the journal's state to a checkpoint (including the ring
-    /// contents, so a restored run's dump is byte-identical to an
-    /// uninterrupted one).
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        match &self.inner {
-            None => enc.bool(false),
-            Some(i) => {
-                enc.bool(true);
-                let g = i.borrow();
-                enc.u64(g.now.as_micros());
-                enc.usize(g.cap);
-                enc.u64(g.emitted);
-                enc.u64(g.dropped);
-                enc.usize(g.lines.len());
-                for line in &g.lines {
-                    enc.str(line);
-                }
-            }
-        }
-    }
-
-    /// Restore checkpointed state *into this handle's shared ring*, so
-    /// every subsystem clone observes it. The handle's enabled-ness must
-    /// match the snapshot's. Inverse of [`Journal::save`].
-    pub fn restore(&self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
-        let enabled = dec.bool()?;
-        match (&self.inner, enabled) {
-            (None, false) => Ok(()),
-            (Some(i), true) => {
-                let mut g = i.borrow_mut();
-                g.now = SimTime::from_micros(dec.u64()?);
-                g.cap = dec.usize()?.max(1);
-                g.emitted = dec.u64()?;
-                g.dropped = dec.u64()?;
-                let n = dec.usize()?;
-                g.lines.clear();
-                for _ in 0..n {
-                    g.lines.push_back(dec.str()?.to_owned());
-                }
-                Ok(())
-            }
-            _ => Err(dcmaint_ckpt::CkptError::BadTag(
-                "journal-enabled",
-                u64::from(enabled),
-            )),
-        }
     }
 
     /// Live tail for streaming consumers: the event lines emitted

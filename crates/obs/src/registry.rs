@@ -40,6 +40,15 @@ struct Hist {
     sum_us: u64,
 }
 
+dcmaint_ckpt::persist!(Hist {
+    family,
+    key,
+    counts,
+    overflow,
+    total,
+    sum_us,
+});
+
 /// A read-only view of one histogram series for reports.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
@@ -75,6 +84,14 @@ pub struct ObsRegistry {
     counters: Vec<(&'static str, u64)>,
     hists: Vec<Hist>,
 }
+
+// Series order is the first-touch order, which save/load preserve
+// exactly; labels come back through the process-wide intern table.
+dcmaint_ckpt::persist!(ObsRegistry {
+    enabled,
+    counters,
+    hists,
+});
 
 impl ObsRegistry {
     /// A registry that records.
@@ -222,63 +239,6 @@ impl ObsRegistry {
         }
     }
 
-    /// Append the registry's state to a checkpoint. Series order is the
-    /// first-touch order, which save/load preserve exactly.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.bool(self.enabled);
-        enc.usize(self.counters.len());
-        for &(name, v) in &self.counters {
-            enc.str(name);
-            enc.u64(v);
-        }
-        enc.usize(self.hists.len());
-        for h in &self.hists {
-            enc.str(h.family);
-            enc.str(h.key);
-            for &c in &h.counts {
-                enc.u64(c);
-            }
-            enc.u64(h.overflow);
-            enc.u64(h.total);
-            enc.u64(h.sum_us);
-        }
-    }
-
-    /// Inverse of [`ObsRegistry::save`]. Labels come back through the
-    /// process-wide intern table (`&'static str` keys).
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let enabled = dec.bool()?;
-        let nc = dec.usize()?;
-        let mut counters = Vec::with_capacity(nc.min(4096));
-        for _ in 0..nc {
-            let name = dcmaint_ckpt::intern(&dec.str()?);
-            counters.push((name, dec.u64()?));
-        }
-        let nh = dec.usize()?;
-        let mut hists = Vec::with_capacity(nh.min(4096));
-        for _ in 0..nh {
-            let family = dcmaint_ckpt::intern(&dec.str()?);
-            let key = dcmaint_ckpt::intern(&dec.str()?);
-            let mut counts = [0u64; BOUNDS_US.len()];
-            for c in &mut counts {
-                *c = dec.u64()?;
-            }
-            hists.push(Hist {
-                family,
-                key,
-                counts,
-                overflow: dec.u64()?,
-                total: dec.u64()?,
-                sum_us: dec.u64()?,
-            });
-        }
-        Ok(ObsRegistry {
-            enabled,
-            counters,
-            hists,
-        })
-    }
-
     /// Incremental read: everything that changed since `cursor` last saw
     /// this registry, without re-scanning series that stayed flat.
     ///
@@ -366,47 +326,18 @@ pub struct RegistryCursor {
     hist_out: Vec<HistDelta>,
 }
 
+// Valid against the registry restored from the same snapshot: save/load
+// preserves series order, so the index-keyed baselines line up exactly.
+dcmaint_ckpt::persist!(RegistryCursor { counter_seen, hist_seen } skip {
+    counter_out: "scratch, cleared at every window",
+    hist_out: "scratch, cleared at every window",
+});
+
 impl RegistryCursor {
     /// Current scratch-buffer capacities `(counters, histograms)`.
     /// Diagnostic surface for the zero-alloc-when-idle pin test.
     pub fn scratch_capacity(&self) -> (usize, usize) {
         (self.counter_out.capacity(), self.hist_out.capacity())
-    }
-
-    /// Append the cursor's baselines to a checkpoint. Scratch buffers
-    /// are transient (cleared at every window) and are not recorded.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.usize(self.counter_seen.len());
-        for &v in &self.counter_seen {
-            enc.u64(v);
-        }
-        enc.usize(self.hist_seen.len());
-        for &(t, s) in &self.hist_seen {
-            enc.u64(t);
-            enc.u64(s);
-        }
-    }
-
-    /// Inverse of [`RegistryCursor::save`]. Valid against the registry
-    /// restored from the same snapshot: save/load preserves series order,
-    /// so the index-keyed baselines line up exactly.
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let nc = dec.usize()?;
-        let mut counter_seen = Vec::with_capacity(nc.min(4096));
-        for _ in 0..nc {
-            counter_seen.push(dec.u64()?);
-        }
-        let nh = dec.usize()?;
-        let mut hist_seen = Vec::with_capacity(nh.min(4096));
-        for _ in 0..nh {
-            hist_seen.push((dec.u64()?, dec.u64()?));
-        }
-        Ok(RegistryCursor {
-            counter_seen,
-            hist_seen,
-            counter_out: Vec::new(),
-            hist_out: Vec::new(),
-        })
     }
 }
 

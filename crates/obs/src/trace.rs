@@ -41,6 +41,11 @@ enum Detail {
     },
 }
 
+dcmaint_ckpt::persist_enum!(Detail: "trace-detail" {
+    0 => Plain(note),
+    1 => HandsOn { executor, travel, phases, residue },
+});
+
 /// One state-entry event.
 #[derive(Debug, Clone)]
 struct TraceEvent {
@@ -48,6 +53,8 @@ struct TraceEvent {
     state: &'static str,
     detail: Detail,
 }
+
+dcmaint_ckpt::persist!(TraceEvent { at, state, detail });
 
 /// One span of an incident trace. Depth-0 spans tile the service
 /// window; depth-1 spans tile their parent `hands-on` span.
@@ -96,6 +103,18 @@ pub struct IncidentTrace {
     pub spurious: bool,
     events: Vec<TraceEvent>,
 }
+
+dcmaint_ckpt::persist!(IncidentTrace {
+    ticket,
+    link,
+    trigger,
+    priority,
+    fault_at,
+    opened,
+    closed,
+    spurious,
+    events,
+});
 
 impl IncidentTrace {
     /// Whether the trigger was reactive (service-impacting).
@@ -246,6 +265,10 @@ pub struct TraceStore {
     by_ticket: BTreeMap<u64, usize>,
 }
 
+dcmaint_ckpt::persist!(TraceStore { enabled, traces }
+    skip { by_ticket: "derived from the traces; rebuilt on load" }
+    then reindex);
+
 impl TraceStore {
     /// A store that records.
     pub fn enabled() -> Self {
@@ -394,145 +417,14 @@ impl TraceStore {
         self.traces
     }
 
-    /// Append the whole store to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        fn opt_time(enc: &mut dcmaint_ckpt::Enc, t: Option<SimTime>) {
-            match t {
-                Some(t) => {
-                    enc.bool(true);
-                    enc.u64(t.as_micros());
-                }
-                None => enc.bool(false),
-            }
-        }
-        enc.bool(self.enabled);
-        enc.usize(self.traces.len());
-        for tr in &self.traces {
-            enc.u64(tr.ticket);
-            enc.usize(tr.link);
-            enc.str(tr.trigger);
-            enc.str(tr.priority);
-            opt_time(enc, tr.fault_at);
-            enc.u64(tr.opened.as_micros());
-            opt_time(enc, tr.closed);
-            enc.bool(tr.spurious);
-            enc.usize(tr.events.len());
-            for ev in &tr.events {
-                enc.u64(ev.at.as_micros());
-                enc.str(ev.state);
-                match &ev.detail {
-                    Detail::Plain(note) => {
-                        enc.u8(0);
-                        match note {
-                            Some(n) => {
-                                enc.bool(true);
-                                enc.str(n);
-                            }
-                            None => enc.bool(false),
-                        }
-                    }
-                    Detail::HandsOn {
-                        executor,
-                        travel,
-                        phases,
-                        residue,
-                    } => {
-                        enc.u8(1);
-                        enc.str(executor);
-                        enc.u64(travel.as_micros());
-                        enc.usize(phases.len());
-                        for &(name, d) in phases {
-                            enc.str(name);
-                            enc.u64(d.as_micros());
-                        }
-                        enc.str(residue);
-                    }
-                }
-            }
-        }
-        // `by_ticket` is derivable (ticket → insertion index); rebuild on
-        // load rather than storing it.
-    }
-
-    /// Inverse of [`TraceStore::save`]. Labels come back interned.
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        fn opt_time(
-            dec: &mut dcmaint_ckpt::Dec,
-        ) -> Result<Option<SimTime>, dcmaint_ckpt::CkptError> {
-            Ok(if dec.bool()? {
-                Some(SimTime::from_micros(dec.u64()?))
-            } else {
-                None
-            })
-        }
-        let enabled = dec.bool()?;
-        let n = dec.usize()?;
-        let mut traces = Vec::with_capacity(n.min(4096));
-        let mut by_ticket = BTreeMap::new();
-        for idx in 0..n {
-            let ticket = dec.u64()?;
-            let link = dec.usize()?;
-            let trigger = dcmaint_ckpt::intern(&dec.str()?);
-            let priority = dcmaint_ckpt::intern(&dec.str()?);
-            let fault_at = opt_time(dec)?;
-            let opened = SimTime::from_micros(dec.u64()?);
-            let closed = opt_time(dec)?;
-            let spurious = dec.bool()?;
-            let ne = dec.usize()?;
-            let mut events = Vec::with_capacity(ne.min(4096));
-            for _ in 0..ne {
-                let at = SimTime::from_micros(dec.u64()?);
-                let state = dcmaint_ckpt::intern(&dec.str()?);
-                let detail = match dec.u8()? {
-                    0 => Detail::Plain(if dec.bool()? {
-                        Some(dcmaint_ckpt::intern(&dec.str()?))
-                    } else {
-                        None
-                    }),
-                    1 => {
-                        let executor = dcmaint_ckpt::intern(&dec.str()?);
-                        let travel = SimDuration::from_micros(dec.u64()?);
-                        let np = dec.usize()?;
-                        let mut phases = Vec::with_capacity(np.min(4096));
-                        for _ in 0..np {
-                            let name = dcmaint_ckpt::intern(&dec.str()?);
-                            phases.push((name, SimDuration::from_micros(dec.u64()?)));
-                        }
-                        let residue = dcmaint_ckpt::intern(&dec.str()?);
-                        Detail::HandsOn {
-                            executor,
-                            travel,
-                            phases,
-                            residue,
-                        }
-                    }
-                    t => {
-                        return Err(dcmaint_ckpt::CkptError::BadTag(
-                            "trace-detail",
-                            u64::from(t),
-                        ))
-                    }
-                };
-                events.push(TraceEvent { at, state, detail });
-            }
-            by_ticket.insert(ticket, idx);
-            traces.push(IncidentTrace {
-                ticket,
-                link,
-                trigger,
-                priority,
-                fault_at,
-                opened,
-                closed,
-                spurious,
-                events,
-            });
-        }
-        Ok(TraceStore {
-            enabled,
-            traces,
-            by_ticket,
-        })
+    /// Rebuild the ticket → trace index after a load.
+    fn reindex(&mut self) {
+        self.by_ticket = self
+            .traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.ticket, i))
+            .collect();
     }
 }
 

@@ -104,6 +104,18 @@ pub struct RobotUnit {
     pub repairs: u64,
 }
 
+dcmaint_ckpt::persist!(RobotUnit {
+    home_row,
+    busy_until,
+    down_until,
+    spares,
+    ops_done,
+    busy_time,
+    degraded,
+    breakdowns,
+    repairs,
+});
+
 impl RobotUnit {
     fn fresh(home_row: u32, spares: u32) -> Self {
         RobotUnit {
@@ -157,6 +169,13 @@ pub struct RobotFleet {
     rng: Stream,
     journal: Journal,
 }
+
+dcmaint_ckpt::persist!(RobotFleet { units, rng } skip {
+    cfg: "rebuilt from the scenario's FleetConfig",
+    timings: "calibration constants",
+    vision: "calibration constants",
+    journal: "event sink; the engine attaches its own",
+});
 
 impl RobotFleet {
     /// Deploy `per_row` units in each of the layout's rows.
@@ -444,54 +463,11 @@ impl RobotFleet {
         self.units[unit].spares = self.cfg.spares_per_unit;
     }
 
-    /// Append the fleet's mutable state (per-unit ledgers and the RNG
-    /// stream position) to a checkpoint. Configuration, timings, vision
-    /// model, and the journal handle are not recorded — the restoring
-    /// side rebuilds them from the same `FleetConfig`.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.usize(self.units.len());
-        for u in &self.units {
-            enc.u32(u.home_row);
-            enc.u64(u.busy_until.as_micros());
-            enc.u64(u.down_until.as_micros());
-            enc.u32(u.spares);
-            enc.u64(u.ops_done);
-            enc.u64(u.busy_time.as_micros());
-            enc.bool(u.degraded);
-            enc.u64(u.breakdowns);
-            enc.u64(u.repairs);
-        }
-        enc.u64(self.rng.draws());
-    }
-
-    /// Restore checkpointed state into a freshly constructed fleet.
-    /// Inverse of [`RobotFleet::save`]. `rng` picks how the stream
-    /// position is reinstated: replay the recorded draw count (disk
-    /// restore), adopt the live donor fleet's stream (in-memory fork),
-    /// or reseed under a branch root (twin planning).
-    pub fn restore(
-        &mut self,
-        dec: &mut dcmaint_ckpt::Dec,
-        rng: dcmaint_des::RngRestore<'_, RobotFleet>,
-    ) -> Result<(), dcmaint_ckpt::CkptError> {
-        let n = dec.usize()?;
-        let mut units = Vec::with_capacity(n);
-        for _ in 0..n {
-            units.push(RobotUnit {
-                home_row: dec.u32()?,
-                busy_until: SimTime::from_micros(dec.u64()?),
-                down_until: SimTime::from_micros(dec.u64()?),
-                spares: dec.u32()?,
-                ops_done: dec.u64()?,
-                busy_time: SimDuration::from_micros(dec.u64()?),
-                degraded: dec.bool()?,
-                breakdowns: dec.u64()?,
-                repairs: dec.u64()?,
-            });
-        }
-        self.units = units;
-        self.rng.restore_pos(dec.u64()?, rng.stream(|f| &f.rng));
-        Ok(())
+    /// Position the fleet's RNG stream for a fork before its checkpoint
+    /// loads: adopt the live donor fleet's (in-memory fork) or re-derive
+    /// it under a branch root (twin planning).
+    pub fn reposition_streams(&mut self, rng: dcmaint_des::RngRestore<'_, RobotFleet>) {
+        self.rng.reposition(rng.stream(|f| &f.rng));
     }
 
     /// Fleet-wide cumulative busy time (for cost accounting).

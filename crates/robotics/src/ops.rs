@@ -142,6 +142,14 @@ pub enum OpOutcome {
     AbortedUnsafe,
 }
 
+dcmaint_ckpt::persist_enum!(OpOutcome: "op-outcome" {
+    0 => Completed,
+    1 => Escalated,
+    2 => Stalled,
+    3 => AbortedSafe,
+    4 => AbortedUnsafe,
+});
+
 impl OpOutcome {
     /// Short label for traces and tables.
     pub fn label(self) -> &'static str {

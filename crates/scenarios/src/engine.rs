@@ -282,7 +282,6 @@ pub struct Engine {
     pub(crate) avail: FleetAvailability,
     pub(crate) costs: CostLedger,
     pub(crate) zones: ZoneLedger,
-    // lint:allow(snapshot-coverage): derived deterministically from topo + seed in build_engine; restore rebuilds it instead of serializing it
     pub(crate) service_pairs: Vec<(NodeId, NodeId)>,
     // RNG streams.
     pub(crate) hazard: Stream,
@@ -360,12 +359,10 @@ pub struct Engine {
     pub(crate) journal: Journal,
     pub(crate) registry: ObsRegistry,
     pub(crate) traces: TraceStore,
-    // lint:allow(snapshot-coverage): quarantined wall-clock observation; snapshotting host timings would leak nondeterminism into restored runs
     pub(crate) wall: WallProfile,
     /// Engine self-profiler (DESIGN §3.13): per-subsystem wall spans
     /// plus the enabled flag the deterministic `prof/…` registry hooks
     /// key off. Inert unless `cfg.obs.profiling`.
-    // lint:allow(snapshot-coverage): observational profiler; a restored run re-counts from its resume point by design (profile deltas are per-segment)
     pub(crate) prof: Prof,
     // Owned event queue — part of the engine so checkpoints capture
     // pending events alongside the state they will act on.

@@ -29,6 +29,13 @@ pub struct ActionStats {
     pub escalations: u64,
 }
 
+dcmaint_ckpt::persist!(ActionStats {
+    attempts,
+    fixes,
+    robotic,
+    escalations,
+});
+
 impl ActionStats {
     /// Fix rate per attempt.
     pub fn fix_rate(&self) -> f64 {
@@ -58,6 +65,15 @@ pub struct SweepMetrics {
     /// Total operating cost (USD).
     pub cost: f64,
 }
+
+dcmaint_ckpt::persist!(SweepMetrics {
+    median_window,
+    p95_window,
+    availability,
+    tickets_fixed,
+    tech_time,
+    cost,
+});
 
 /// Everything measured in one scenario run.
 #[derive(Debug)]

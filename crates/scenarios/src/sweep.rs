@@ -316,6 +316,12 @@ struct EngineJobOut {
     registry: ObsRegistry,
 }
 
+dcmaint_ckpt::persist!(EngineJobOut {
+    metrics,
+    journal,
+    registry,
+});
+
 /// Path of one job's checkpoint file inside a manifest directory.
 fn job_path(dir: &str, index: usize) -> std::path::PathBuf {
     std::path::Path::new(dir).join(format!("job-{index:04}.bin"))
@@ -326,17 +332,7 @@ fn job_path(dir: &str, index: usize) -> std::path::PathBuf {
 /// container's integrity hash catches anything that slips through.
 fn save_job(path: &std::path::Path, config_fp: u64, out: &EngineJobOut) {
     let mut enc = dcmaint_ckpt::Enc::new();
-    enc.u64(out.metrics.median_window.as_micros());
-    enc.u64(out.metrics.p95_window.as_micros());
-    enc.f64(out.metrics.availability);
-    enc.u64(out.metrics.tickets_fixed);
-    enc.u64(out.metrics.tech_time.as_micros());
-    enc.f64(out.metrics.cost);
-    enc.usize(out.journal.len());
-    for line in &out.journal {
-        enc.str(line);
-    }
-    out.registry.save(&mut enc);
+    dcmaint_ckpt::Persist::save(out, &mut enc);
     let bytes = dcmaint_ckpt::Snapshot::new(config_fp, enc.into_bytes()).to_bytes();
     let tmp = path.with_extension("tmp");
     if std::fs::write(&tmp, &bytes).is_ok() {
@@ -351,32 +347,8 @@ fn load_job(path: &std::path::Path, config_fp: u64) -> Option<EngineJobOut> {
     let snap = dcmaint_ckpt::Snapshot::from_bytes(&bytes).ok()?;
     snap.require_config(config_fp).ok()?;
     let mut dec = dcmaint_ckpt::Dec::new(&snap.payload);
-    let decode = |dec: &mut dcmaint_ckpt::Dec| -> Result<EngineJobOut, dcmaint_ckpt::CkptError> {
-        let metrics = SweepMetrics {
-            median_window: SimDuration::from_micros(dec.u64()?),
-            p95_window: SimDuration::from_micros(dec.u64()?),
-            availability: dec.f64()?,
-            tickets_fixed: dec.u64()?,
-            tech_time: SimDuration::from_micros(dec.u64()?),
-            cost: dec.f64()?,
-        };
-        let n = dec.usize()?;
-        let mut journal = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            journal.push(dec.str()?);
-        }
-        let registry = ObsRegistry::load(dec)?;
-        Ok(EngineJobOut {
-            metrics,
-            journal,
-            registry,
-        })
-    };
-    let out = decode(&mut dec).ok()?;
-    if !dec.is_exhausted() {
-        return None;
-    }
-    Some(out)
+    let out: EngineJobOut = dcmaint_ckpt::Decode::decode(&mut dec).ok()?;
+    dec.is_exhausted().then_some(out)
 }
 
 /// Pre-flight a manifest directory for `--resume`: every `job-*.bin`

@@ -37,6 +37,19 @@ pub struct LinkCounters {
     last_maintenance: Option<SimTime>,
 }
 
+dcmaint_ckpt::persist!(LinkCounters {
+    loss_ewma,
+    alpha,
+    transitions,
+    transition_window,
+    transitions_total,
+    errored_samples,
+    samples,
+    last_sample,
+    incidents_total,
+    last_maintenance,
+});
+
 impl LinkCounters {
     /// Loss rate above which a sample counts as an errored interval.
     pub const ERRORED_THRESHOLD: f64 = 1e-4;
@@ -131,63 +144,6 @@ impl LinkCounters {
         } else {
             self.errored_samples as f64 / self.samples as f64
         }
-    }
-
-    /// Append this link's counter state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.f64(self.loss_ewma);
-        enc.f64(self.alpha);
-        enc.usize(self.transitions.len());
-        for &t in &self.transitions {
-            enc.u64(t.as_micros());
-        }
-        enc.u64(self.transition_window.as_micros());
-        enc.u64(self.transitions_total);
-        enc.u64(self.errored_samples);
-        enc.u64(self.samples);
-        enc.u64(self.last_sample.as_micros());
-        enc.u64(self.incidents_total);
-        match self.last_maintenance {
-            Some(t) => {
-                enc.bool(true);
-                enc.u64(t.as_micros());
-            }
-            None => enc.bool(false),
-        }
-    }
-
-    /// Inverse of [`LinkCounters::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let loss_ewma = dec.f64()?;
-        let alpha = dec.f64()?;
-        let n = dec.usize()?;
-        let mut transitions = VecDeque::with_capacity(n.min(4096));
-        for _ in 0..n {
-            transitions.push_back(SimTime::from_micros(dec.u64()?));
-        }
-        let transition_window = SimDuration::from_micros(dec.u64()?);
-        let transitions_total = dec.u64()?;
-        let errored_samples = dec.u64()?;
-        let samples = dec.u64()?;
-        let last_sample = SimTime::from_micros(dec.u64()?);
-        let incidents_total = dec.u64()?;
-        let last_maintenance = if dec.bool()? {
-            Some(SimTime::from_micros(dec.u64()?))
-        } else {
-            None
-        };
-        Ok(LinkCounters {
-            loss_ewma,
-            alpha,
-            transitions,
-            transition_window,
-            transitions_total,
-            errored_samples,
-            samples,
-            last_sample,
-            incidents_total,
-            last_maintenance,
-        })
     }
 
     /// Time since last maintenance, or since time zero if never.

@@ -77,6 +77,14 @@ impl Default for Detector {
     }
 }
 
+dcmaint_ckpt::persist!(Detector {
+    gray_loss,
+    flap_threshold,
+    rearm_after,
+    armed,
+    last_fire,
+});
+
 impl Detector {
     /// Evaluate the detectors against current counters and instantaneous
     /// loss; returns at most one alert (highest-severity condition wins).
@@ -130,36 +138,6 @@ impl Detector {
             self.last_fire = Some(now);
         }
         alert
-    }
-
-    /// Append this detector's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.f64(self.gray_loss);
-        enc.usize(self.flap_threshold);
-        enc.u64(self.rearm_after.as_micros());
-        enc.bool(self.armed);
-        match self.last_fire {
-            Some(t) => {
-                enc.bool(true);
-                enc.u64(t.as_micros());
-            }
-            None => enc.bool(false),
-        }
-    }
-
-    /// Inverse of [`Detector::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(Detector {
-            gray_loss: dec.f64()?,
-            flap_threshold: dec.usize()?,
-            rearm_after: SimDuration::from_micros(dec.u64()?),
-            armed: dec.bool()?,
-            last_fire: if dec.bool()? {
-                Some(SimTime::from_micros(dec.u64()?))
-            } else {
-                None
-            },
-        })
     }
 
     /// Whether the detector may fire.

@@ -22,6 +22,14 @@ pub struct TelemetryPlane {
     pub poll_period: SimDuration,
 }
 
+// One counters + detector pair per link; the detectors share the
+// counters' length prefix.
+dcmaint_ckpt::persist!(TelemetryPlane {
+    poll_period,
+    counters with dcmaint_ckpt::fixed_len,
+    detectors with dcmaint_ckpt::unprefixed,
+});
+
 impl TelemetryPlane {
     /// New plane for `topo` with default detectors and a 15 s poll.
     pub fn new(topo: &Topology) -> Self {
@@ -64,37 +72,6 @@ impl TelemetryPlane {
     pub fn on_maintenance(&mut self, l: LinkId, now: SimTime) {
         self.counters[l.index()].record_maintenance(now);
         self.detectors[l.index()].rearm();
-    }
-
-    /// Append the whole plane's state to a checkpoint.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.poll_period.as_micros());
-        enc.usize(self.counters.len());
-        for c in &self.counters {
-            c.save(enc);
-        }
-        for d in &self.detectors {
-            d.save(enc);
-        }
-    }
-
-    /// Inverse of [`TelemetryPlane::save`].
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let poll_period = SimDuration::from_micros(dec.u64()?);
-        let n = dec.usize()?;
-        let mut counters = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            counters.push(LinkCounters::load(dec)?);
-        }
-        let mut detectors = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            detectors.push(Detector::load(dec)?);
-        }
-        Ok(TelemetryPlane {
-            counters,
-            detectors,
-            poll_period,
-        })
     }
 
     /// Poll every link once: record loss samples from the live state and

@@ -66,6 +66,9 @@ pub struct TechnicianPool {
     tasks: Stream,
 }
 
+dcmaint_ckpt::persist!(TechnicianPool { busy_until, triage, tasks }
+    skip { cfg: "rebuilt from the scenario's TechConfig" });
+
 const DAY_START_H: u64 = 8;
 const DAY_END_H: u64 = 20;
 
@@ -173,36 +176,12 @@ impl TechnicianPool {
         Assignment { tech, start }
     }
 
-    /// Append the pool's mutable state (reservations and RNG stream
-    /// positions) to a checkpoint. Configuration is not recorded — the
-    /// restoring side rebuilds the pool from the same `TechConfig`.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.usize(self.busy_until.len());
-        for t in &self.busy_until {
-            enc.u64(t.as_micros());
-        }
-        enc.u64(self.triage.draws());
-        enc.u64(self.tasks.draws());
-    }
-
-    /// Restore checkpointed state into a freshly constructed pool.
-    /// Inverse of [`TechnicianPool::save`]. `rng` picks how the stream
-    /// positions are reinstated: replay from the recorded draw counts
-    /// (disk restore), adopt the live donor pool's streams (in-memory
-    /// fork), or reseed under a branch root (twin planning).
-    pub fn restore(
-        &mut self,
-        dec: &mut dcmaint_ckpt::Dec,
-        rng: dcmaint_des::RngRestore<'_, TechnicianPool>,
-    ) -> Result<(), dcmaint_ckpt::CkptError> {
-        let n = dec.usize()?;
-        self.busy_until = (0..n)
-            .map(|_| Ok(SimTime::from_micros(dec.u64()?)))
-            .collect::<Result<_, dcmaint_ckpt::CkptError>>()?;
-        self.triage
-            .restore_pos(dec.u64()?, rng.stream(|p| &p.triage));
-        self.tasks.restore_pos(dec.u64()?, rng.stream(|p| &p.tasks));
-        Ok(())
+    /// Position the pool's RNG streams for a fork before its checkpoint
+    /// loads: adopt the live donor pool's (in-memory fork) or re-derive
+    /// them under a branch root (twin planning).
+    pub fn reposition_streams(&mut self, rng: dcmaint_des::RngRestore<'_, TechnicianPool>) {
+        self.triage.reposition(rng.stream(|p| &p.triage));
+        self.tasks.reposition(rng.stream(|p| &p.tasks));
     }
 
     fn align_to_shift(&self, tech: usize, t: SimTime) -> SimTime {

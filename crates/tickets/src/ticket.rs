@@ -32,35 +32,15 @@ pub enum TicketTrigger {
     Predictive,
 }
 
+dcmaint_ckpt::persist_enum!(TicketTrigger: "ticket-trigger" {
+    0 => LinkDown,
+    1 => Flapping,
+    2 => GrayLoss,
+    3 => Proactive,
+    4 => Predictive,
+});
+
 impl TicketTrigger {
-    /// Stable checkpoint tag.
-    pub fn ckpt_tag(self) -> u8 {
-        match self {
-            TicketTrigger::LinkDown => 0,
-            TicketTrigger::Flapping => 1,
-            TicketTrigger::GrayLoss => 2,
-            TicketTrigger::Proactive => 3,
-            TicketTrigger::Predictive => 4,
-        }
-    }
-
-    /// Inverse of [`TicketTrigger::ckpt_tag`].
-    pub fn from_ckpt_tag(tag: u8) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(match tag {
-            0 => TicketTrigger::LinkDown,
-            1 => TicketTrigger::Flapping,
-            2 => TicketTrigger::GrayLoss,
-            3 => TicketTrigger::Proactive,
-            4 => TicketTrigger::Predictive,
-            t => {
-                return Err(dcmaint_ckpt::CkptError::BadTag(
-                    "ticket-trigger",
-                    u64::from(t),
-                ))
-            }
-        })
-    }
-
     /// Short label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -94,26 +74,9 @@ pub enum Priority {
     P2,
 }
 
+dcmaint_ckpt::persist_enum!(Priority: "priority" { 0 => P0, 1 => P1, 2 => P2 });
+
 impl Priority {
-    /// Stable checkpoint tag.
-    pub fn ckpt_tag(self) -> u8 {
-        match self {
-            Priority::P0 => 0,
-            Priority::P1 => 1,
-            Priority::P2 => 2,
-        }
-    }
-
-    /// Inverse of [`Priority::ckpt_tag`].
-    pub fn from_ckpt_tag(tag: u8) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(match tag {
-            0 => Priority::P0,
-            1 => Priority::P1,
-            2 => Priority::P2,
-            t => return Err(dcmaint_ckpt::CkptError::BadTag("priority", u64::from(t))),
-        })
-    }
-
     /// Derive priority from trigger and alert severity.
     pub fn from_trigger(trigger: TicketTrigger, severity: f64) -> Priority {
         match trigger {
@@ -156,41 +119,20 @@ pub enum TicketState {
     ClosedSpurious,
 }
 
-impl TicketState {
-    /// Stable checkpoint tag.
-    pub fn ckpt_tag(self) -> u8 {
-        match self {
-            TicketState::Open => 0,
-            TicketState::Dispatched => 1,
-            TicketState::InProgress => 2,
-            TicketState::Resolving => 3,
-            TicketState::Closed => 4,
-            TicketState::ClosedSpurious => 5,
-        }
-    }
-
-    /// Inverse of [`TicketState::ckpt_tag`].
-    pub fn from_ckpt_tag(tag: u8) -> Result<Self, dcmaint_ckpt::CkptError> {
-        Ok(match tag {
-            0 => TicketState::Open,
-            1 => TicketState::Dispatched,
-            2 => TicketState::InProgress,
-            3 => TicketState::Resolving,
-            4 => TicketState::Closed,
-            5 => TicketState::ClosedSpurious,
-            t => {
-                return Err(dcmaint_ckpt::CkptError::BadTag(
-                    "ticket-state",
-                    u64::from(t),
-                ))
-            }
-        })
-    }
-}
+dcmaint_ckpt::persist_enum!(TicketState: "ticket-state" {
+    0 => Open,
+    1 => Dispatched,
+    2 => InProgress,
+    3 => Resolving,
+    4 => Closed,
+    5 => ClosedSpurious,
+});
 
 /// Unique ticket identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TicketId(pub u64);
+
+dcmaint_ckpt::persist!(TicketId(id));
 
 /// One repair attempt recorded against a ticket.
 #[derive(Debug, Clone)]
@@ -206,6 +148,14 @@ pub struct AttemptRecord {
     /// Whether a robot (vs human) performed it.
     pub robotic: bool,
 }
+
+dcmaint_ckpt::persist!(AttemptRecord {
+    action,
+    started,
+    finished,
+    fixed,
+    robotic,
+});
 
 /// A maintenance ticket.
 #[derive(Debug, Clone)]
@@ -227,6 +177,17 @@ pub struct Ticket {
     /// Closure time (set when state becomes Closed/ClosedSpurious).
     pub closed: Option<SimTime>,
 }
+
+dcmaint_ckpt::persist!(Ticket {
+    id,
+    link,
+    trigger,
+    priority,
+    created,
+    state,
+    closed,
+    attempts,
+});
 
 impl Ticket {
     /// The service window (creation → closure); `None` while open.
@@ -256,6 +217,9 @@ pub struct TicketBoard {
     next_id: u64,
     journal: Journal,
 }
+
+dcmaint_ckpt::persist!(TicketBoard { next_id, tickets, open_by_link }
+    skip { journal: "event sink; the engine attaches its own" });
 
 impl TicketBoard {
     /// Empty board.
@@ -433,96 +397,6 @@ impl TicketBoard {
             }
         }
         out
-    }
-
-    /// Append the whole board (tickets, open index, id counter) to a
-    /// checkpoint. The journal handle is not part of board state — the
-    /// engine re-attaches it on restore.
-    pub fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.next_id);
-        enc.usize(self.tickets.len());
-        for t in &self.tickets {
-            enc.u64(t.id.0);
-            enc.u64(t.link.key());
-            enc.u8(t.trigger.ckpt_tag());
-            enc.u8(t.priority.ckpt_tag());
-            enc.u64(t.created.as_micros());
-            enc.u8(t.state.ckpt_tag());
-            match t.closed {
-                Some(c) => {
-                    enc.bool(true);
-                    enc.u64(c.as_micros());
-                }
-                None => enc.bool(false),
-            }
-            enc.usize(t.attempts.len());
-            for a in &t.attempts {
-                enc.u8(a.action.ckpt_tag());
-                enc.u64(a.started.as_micros());
-                enc.u64(a.finished.as_micros());
-                enc.bool(a.fixed);
-                enc.bool(a.robotic);
-            }
-        }
-        enc.usize(self.open_by_link.len());
-        for (&link, &id) in &self.open_by_link {
-            enc.u64(link.key());
-            enc.u64(id.0);
-        }
-    }
-
-    /// Inverse of [`TicketBoard::save`]. The returned board has a
-    /// disabled journal; call [`TicketBoard::set_journal`] after.
-    pub fn load(dec: &mut dcmaint_ckpt::Dec) -> Result<Self, dcmaint_ckpt::CkptError> {
-        let next_id = dec.u64()?;
-        let n = dec.usize()?;
-        let mut tickets = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let id = TicketId(dec.u64()?);
-            let link = LinkId::from_index(dec.u64()? as usize);
-            let trigger = TicketTrigger::from_ckpt_tag(dec.u8()?)?;
-            let priority = Priority::from_ckpt_tag(dec.u8()?)?;
-            let created = SimTime::from_micros(dec.u64()?);
-            let state = TicketState::from_ckpt_tag(dec.u8()?)?;
-            let closed = if dec.bool()? {
-                Some(SimTime::from_micros(dec.u64()?))
-            } else {
-                None
-            };
-            let na = dec.usize()?;
-            let mut attempts = Vec::with_capacity(na.min(4096));
-            for _ in 0..na {
-                attempts.push(AttemptRecord {
-                    action: RepairAction::from_ckpt_tag(dec.u8()?)?,
-                    started: SimTime::from_micros(dec.u64()?),
-                    finished: SimTime::from_micros(dec.u64()?),
-                    fixed: dec.bool()?,
-                    robotic: dec.bool()?,
-                });
-            }
-            tickets.push(Ticket {
-                id,
-                link,
-                trigger,
-                priority,
-                created,
-                state,
-                attempts,
-                closed,
-            });
-        }
-        let no = dec.usize()?;
-        let mut open_by_link = std::collections::BTreeMap::new();
-        for _ in 0..no {
-            let link = LinkId::from_index(dec.u64()? as usize);
-            open_by_link.insert(link, TicketId(dec.u64()?));
-        }
-        Ok(TicketBoard {
-            tickets,
-            open_by_link,
-            next_id,
-            journal: Journal::disabled(),
-        })
     }
 
     /// Service-window samples of all closed, non-spurious tickets.

@@ -165,6 +165,12 @@ pub struct TwinPlan {
     pub defer_until: Option<SimTime>,
 }
 
+dcmaint_ckpt::persist!(TwinPlan {
+    action,
+    human,
+    defer_until,
+});
+
 impl From<&Candidate> for TwinPlan {
     fn from(c: &Candidate) -> Self {
         TwinPlan {

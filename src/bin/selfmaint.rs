@@ -90,8 +90,8 @@
 //!                  [--explain RULE]
 //!                  # dcmaint-lint determinism & hygiene pass: line
 //!                  # rules plus the semantic cross-file family
-//!                  # (snapshot-coverage, event-coverage, rng-stream-
-//!                  # discipline, lock-order vs lint-locks.txt). Exits
+//!                  # (event-coverage, rng-stream-discipline,
+//!                  # lock-order vs lint-locks.txt). Exits
 //!                  # nonzero on any non-baseline finding (the same
 //!                  # gate CI runs); --explain RULE prints a rule's
 //!                  # rationale, example, and suppression syntax

@@ -176,3 +176,91 @@ fn chained_restores_equal_continuous() {
         resumed.obs.as_ref().expect("obs on").journal
     );
 }
+
+/// The golden fixture's configuration: a 2×4×2 leaf-spine at L4 with the
+/// observability plane, twin-guided planning, the MAPE-K loop and robot
+/// faults all on, so every section of the payload carries data.
+fn golden_cfg() -> ScenarioConfig {
+    let mut cfg = small_autonomic(9, AutomationLevel::L4, true);
+    cfg.twin = TwinPolicy::TwinGuided(TwinConfig {
+        horizon: SimDuration::from_hours(12),
+        ..TwinConfig::default()
+    });
+    cfg.robot_faults = selfmaint::faults::RobotFaultConfig::chaos();
+    cfg
+}
+
+/// Byte-for-byte pin of the checkpoint format. `tests/fixtures/golden-v4.ckpt`
+/// was written once, by the hand-written codec that preceded the
+/// `Persist` trait, as
+/// `{ let mut e = Engine::new(golden_cfg()); e.run_until(SimTime::ZERO +
+/// SimDuration::from_hours(72)); e.snapshot().to_bytes() }` — at that
+/// cut three repairs are in flight, a twin plan is committed, and the
+/// loop has ticked. It must never be regenerated: any codec change that
+/// moves a byte fails here.
+#[test]
+fn golden_checkpoint_round_trips_byte_equal() {
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/golden-v4.ckpt"
+    ))
+    .expect("golden fixture");
+    let snap = Snapshot::from_bytes(&golden).expect("golden fixture parses");
+    assert_eq!(snap.version, selfmaint::ckpt::VERSION);
+    let eng = Engine::restore(golden_cfg(), &snap).expect("golden fixture restores");
+    assert!(
+        eng.snapshot().to_bytes() == golden,
+        "re-encoding the golden checkpoint moved bytes"
+    );
+    assert_eq!(
+        eng.state_hash().0,
+        selfmaint::ckpt::fnv1a64(&snap.payload),
+        "state_hash must stay fnv1a64 of the payload"
+    );
+}
+
+/// A snapshot from a faulty producer: a scheduled event naming a link
+/// the topology does not have. The integrity hash is recomputed, so
+/// only the decoder's range check stands between the file and an
+/// out-of-bounds index mid-run; restore must refuse it cleanly.
+#[test]
+fn out_of_range_link_id_is_rejected_on_decode() {
+    use selfmaint::ckpt::CkptError;
+
+    let cfg = small(7, AutomationLevel::L4, false);
+    let mut eng = Engine::new(cfg.clone());
+    eng.run_until(SimTime::ZERO + SimDuration::from_days(3));
+    let snap = eng.snapshot();
+    let mut payload = snap.payload.clone();
+
+    // Walk the scheduler section (clock, seq, delivered, horizon, then
+    // `(at, seq, tag, fields)` entries) to the first predictive label.
+    let u64_at = |p: &[u8], i: usize| u64::from_le_bytes(p[i..i + 8].try_into().unwrap());
+    let entries = u64_at(&payload, 32);
+    let mut pos = 40;
+    let mut label_link = None;
+    for _ in 0..entries {
+        let tag = payload[pos + 16];
+        pos += 17;
+        if tag == 14 {
+            label_link = Some(pos);
+            break;
+        }
+        pos += match tag {
+            0 | 5 | 10 | 12 | 19 => 0,
+            3 | 13 => 9,
+            6..=9 | 11 | 18 => 8,
+            1 | 2 | 4 | 15..=17 => 16,
+            t => panic!("unexpected event tag {t}"),
+        };
+    }
+    let at = label_link.expect("an L4 run schedules predictive labels");
+    payload[at..at + 8].copy_from_slice(&1_000_000u64.to_le_bytes());
+
+    let forged = Snapshot::new(snap.config_hash, payload).to_bytes();
+    let back = Snapshot::from_bytes(&forged).expect("frame hash recomputed");
+    assert_eq!(
+        Engine::restore(cfg, &back).err(),
+        Some(CkptError::BadTag("link-id", 1_000_000))
+    );
+}

@@ -106,8 +106,8 @@ fn every_rule_is_named_in_readme() {
 // ------------------------------------------------------------------ //
 // Mutation pins for the semantic rule family: a healthy miniature
 // engine tree lints clean, and each contract mutation — dropping a
-// snapshot field write, dropping a prof_attribution arm, reordering a
-// lock acquisition — produces *exactly one* finding of the matching
+// prof_attribution arm, reordering a lock acquisition, drawing on an
+// unnamed stream — produces *exactly one* finding of the matching
 // rule. These pin the rules' sensitivity: a refactor that silently
 // blinds a rule fails here, not in a postmortem.
 // ------------------------------------------------------------------ //
@@ -151,24 +151,6 @@ impl Engine {
 }
 "#;
 
-const FIX_SNAPSHOT: &str = r#"
-pub fn save_state(e: &Engine, w: &mut Writer) {
-    w.u64(e.now);
-    for l in &e.links {
-        w.f64(l.loss);
-    }
-    w.stream(&e.hazard);
-    w.journal_mark(&e.journal);
-}
-pub fn restore_state(r: &mut Reader) -> Engine {
-    let now = r.u64();
-    let links = r.vec(|r| LinkRt { loss: r.f64() });
-    let hazard = r.stream();
-    let journal = r.journal_mark();
-    Engine { now, links, hazard, journal }
-}
-"#;
-
 const FIX_SERVE: &str = r#"
 pub fn status(shared: &Shared) -> String {
     let g = shared.inner.lock().unwrap();
@@ -181,15 +163,11 @@ const FIX_LOCKS: &str = "[crates/serve]\ninner\nring\n";
 
 /// Semantic-rule findings from a miniature tree (paths match the real
 /// anchors the rules key on).
-fn semantic_findings(engine: &str, snapshot: &str, serve: &str) -> Vec<dcmaint_lint::Finding> {
+fn semantic_findings(engine: &str, serve: &str) -> Vec<dcmaint_lint::Finding> {
     let files = vec![
         (
             "crates/scenarios/src/engine.rs".to_string(),
             engine.to_string(),
-        ),
-        (
-            "crates/scenarios/src/snapshot.rs".to_string(),
-            snapshot.to_string(),
         ),
         ("crates/serve/src/server.rs".to_string(), serve.to_string()),
     ];
@@ -200,7 +178,7 @@ fn semantic_findings(engine: &str, snapshot: &str, serve: &str) -> Vec<dcmaint_l
         .filter(|f| {
             matches!(
                 f.rule,
-                "snapshot-coverage" | "event-coverage" | "rng-stream-discipline" | "lock-order"
+                "event-coverage" | "rng-stream-discipline" | "lock-order"
             )
         })
         .collect()
@@ -208,25 +186,11 @@ fn semantic_findings(engine: &str, snapshot: &str, serve: &str) -> Vec<dcmaint_l
 
 #[test]
 fn fixture_tree_is_semantically_clean() {
-    let findings = semantic_findings(FIX_ENGINE, FIX_SNAPSHOT, FIX_SERVE);
+    let findings = semantic_findings(FIX_ENGINE, FIX_SERVE);
     assert!(
         findings.is_empty(),
         "healthy fixture must produce no semantic findings, got: {findings:?}"
     );
-}
-
-#[test]
-fn deleting_a_snapshot_field_write_is_one_finding() {
-    // Mutation: the codec forgets to serialize `Engine.now`.
-    let snapshot = FIX_SNAPSHOT.replace("    w.u64(e.now);\n", "");
-    let findings = semantic_findings(FIX_ENGINE, &snapshot, FIX_SERVE);
-    assert_eq!(
-        findings.len(),
-        1,
-        "exactly one finding expected, got: {findings:?}"
-    );
-    assert_eq!(findings[0].rule, "snapshot-coverage");
-    assert!(findings[0].message.contains("Engine.now"));
 }
 
 #[test]
@@ -237,7 +201,7 @@ fn deleting_a_prof_attribution_arm_is_one_finding() {
         "            Ev::RepairDone { .. } => \"repair\",",
         "            _ => \"repair\",",
     );
-    let findings = semantic_findings(&engine, FIX_SNAPSHOT, FIX_SERVE);
+    let findings = semantic_findings(&engine, FIX_SERVE);
     assert_eq!(
         findings.len(),
         1,
@@ -258,7 +222,7 @@ pub fn status(shared: &Shared) -> String {
     format_status(&g, r.seq)
 }
 "#;
-    let findings = semantic_findings(FIX_ENGINE, FIX_SNAPSHOT, serve);
+    let findings = semantic_findings(FIX_ENGINE, serve);
     assert_eq!(
         findings.len(),
         1,
@@ -275,7 +239,7 @@ fn ad_hoc_rng_draw_is_one_finding() {
         "        let heal = self.hazard.uniform();",
         "        let heal = self.scratch.uniform();",
     );
-    let findings = semantic_findings(&engine, FIX_SNAPSHOT, FIX_SERVE);
+    let findings = semantic_findings(&engine, FIX_SERVE);
     assert_eq!(
         findings.len(),
         1,

@@ -19,7 +19,7 @@ use dcmaint_sweep::derive_seed;
 use maintctl::AutomationLevel;
 
 use crate::profile::peak_rss_bytes;
-use crate::report::BenchReport;
+use crate::report::{ppb, BenchReport};
 
 /// What to benchmark. Defaults reproduce one E16-quick-shaped cell.
 #[derive(Debug, Clone)]
@@ -101,12 +101,6 @@ pub struct AutonomicBenchOutcome {
     pub wall_s: f64,
 }
 
-/// Availability scaled to parts-per-billion: deterministic per seed, so
-/// it can live in the byte-diffed `deterministic` subtree as a u64.
-fn ppb(availability: f64) -> u64 {
-    (availability * 1e9).round() as u64
-}
-
 /// Run the autonomic benchmark: static + autonomic arms per seed, loop
 /// accounting merged across seeds.
 pub fn run_autonomic_bench(p: &AutonomicBenchParams) -> AutonomicBenchOutcome {
@@ -161,11 +155,9 @@ pub fn run_autonomic_bench(p: &AutonomicBenchParams) -> AutonomicBenchOutcome {
             .filter(|(name, _)| name.starts_with("prof/ev/"))
             .map(|(_, v)| v)
             .sum::<u64>();
-        for (sub, ns, spans) in &obs.prof_wall {
-            if *sub == "autonomic" {
-                autonomic_span_ns += ns;
-                autonomic_spans += spans;
-            }
+        for l in obs.prof_wall.iter().filter(|l| l.sub == "autonomic") {
+            autonomic_span_ns += l.ns;
+            autonomic_spans += l.spans;
         }
     }
 
@@ -220,19 +212,7 @@ pub fn run_autonomic_bench(p: &AutonomicBenchParams) -> AutonomicBenchOutcome {
     report
         .timing
         .insert("peak-rss-bytes".to_string(), peak_rss_bytes() as f64);
-
-    report
-        .host
-        .insert("os".to_string(), std::env::consts::OS.to_string());
-    report
-        .host
-        .insert("arch".to_string(), std::env::consts::ARCH.to_string());
-    report.host.insert(
-        "cores".to_string(),
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .to_string(),
-    );
+    report.stamp_host();
 
     AutonomicBenchOutcome {
         report,

@@ -1,19 +1,20 @@
 //! # dcmaint-bench — benchmark harness and standing perf artifacts
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`report`] — the shared [`BenchReport`] schema behind the standing
 //!   `BENCH_*.json` artifacts: a `deterministic` subtree CI diffs
 //!   byte-for-byte across same-seed runs, a `timing` subtree compared
-//!   only against regression thresholds, and host metadata. Includes a
-//!   minimal JSON reader (the vendored `serde_json` is
-//!   serializer-only) so `selfmaint profile --baseline` can load
-//!   artifacts written by older builds.
+//!   only against regression thresholds, and host metadata. Reports
+//!   read back through `serde_json::from_str`, so
+//!   `selfmaint profile --baseline` can load artifacts written by older
+//!   builds.
 //! * [`profile`] — the engine self-profiling harness behind
 //!   `selfmaint profile`: drives one scenario cell per seed with the
 //!   `obs::prof` engine profiler on, merges the per-seed `prof/…`
-//!   registries, and derives events/sec, per-subsystem wall shares,
-//!   queue high-water, and peak RSS into a [`BenchReport`].
+//!   registries and wall leaves, and derives events/sec, per-subsystem
+//!   and per-leaf wall shares, queue high-water, and peak RSS into a
+//!   [`BenchReport`].
 //! * [`twin`](mod@twin) — the twin-planner harness behind
 //!   `selfmaint plan`: ladder + twin arms per seed, planner accounting
 //!   (decisions/forks/commits, availability delta in ppb) in the
@@ -25,14 +26,10 @@
 //!   the deterministic subtree, adaptation decisions/sec and mean tick
 //!   latency from the `prof/autonomic` wall spans in the timing
 //!   subtree (`BENCH_autonomic.json`).
-//! * Two Criterion bench targets: `benches/experiments.rs` (one group
-//!   per experiment E1–E11, CI-sized parameters of the exact runners
-//!   that regenerate EXPERIMENTS.md) and `benches/kernel.rs`
-//!   (event-queue throughput, topology generation, BFS/ECMP routing,
-//!   and a full end-to-end scenario day).
 //!
-//! The experiment entry points are re-exported so benches and the
-//! `experiments` binary stay in lockstep.
+//! End-to-end throughput and per-layer step time across whole
+//! workloads are measured from outside the program by the separate
+//! `dcbench` package (`dcbench/`, see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +39,6 @@ pub mod report;
 pub mod twin;
 
 pub use autonomic::{run_autonomic_bench, AutonomicBenchOutcome, AutonomicBenchParams};
-pub use dcmaint_scenarios::experiments;
 pub use profile::{peak_rss_bytes, run_profile, ProfileOutcome, ProfileParams};
-pub use report::{parse_json, BenchReport, SCHEMA_VERSION};
+pub use report::{BenchReport, SCHEMA_VERSION};
 pub use twin::{run_twin_bench, TwinBenchOutcome, TwinBenchParams};

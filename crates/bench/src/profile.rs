@@ -13,13 +13,16 @@
 //! deterministic (same seed → same bytes) and lands in
 //! [`BenchReport::deterministic`]; everything derived from the wall
 //! clock (span shares, events/sec, RSS) is timing-only and lands in
-//! [`BenchReport::timing`], never on seeded stdout.
+//! [`BenchReport::timing`], never on seeded stdout. Wall shares come in
+//! two levels: `share/<sub>` per subsystem and `leaf-share/<sub>/<kind>`
+//! per [`Leaf`], the leaves of a subsystem summing to its share.
 
 use std::collections::BTreeMap;
 
 use dcmaint_des::{SimDuration, SimTime};
+use dcmaint_obs::prof::{self, Leaf};
 use dcmaint_obs::ObsRegistry;
-use dcmaint_scenarios::{Engine, ScenarioConfig, TopologySpec};
+use dcmaint_scenarios::{Engine, ScenarioConfig};
 use dcmaint_sweep::derive_seed;
 use maintctl::AutomationLevel;
 
@@ -72,13 +75,7 @@ impl ProfileParams {
         let mut cfg = ScenarioConfig::at_level(seed, self.level);
         cfg.duration = SimDuration::from_days(self.days);
         if self.quick {
-            cfg.topology = TopologySpec::LeafSpine {
-                spines: 2,
-                leaves: 6,
-                servers_per_leaf: 2,
-            };
-            cfg.poll_period = SimDuration::from_secs(120);
-            cfg.faults.mtbi_per_link = SimDuration::from_days(12);
+            cfg.apply_quick_fabric();
         }
         cfg.obs.profiling = true;
         cfg
@@ -92,9 +89,9 @@ pub struct ProfileOutcome {
     pub report: BenchReport,
     /// Merged per-seed registries — all `prof/…` counters.
     pub registry: ObsRegistry,
-    /// Merged wall spans per subsystem: `(subsystem, total ns, spans)`,
-    /// sorted by subsystem. Nondeterministic.
-    pub prof_wall: Vec<(&'static str, u64, u64)>,
+    /// Merged wall spans, one [`Leaf`] per `(subsystem, kind)`, sorted
+    /// by that pair. Nondeterministic.
+    pub leaves: Vec<Leaf>,
     /// Per-subsystem wall share in percent, sorted descending. Sums to
     /// ~100 whenever any span was recorded. Nondeterministic.
     pub shares: Vec<(&'static str, f64)>,
@@ -107,11 +104,36 @@ pub struct ProfileOutcome {
     pub wall_s: f64,
 }
 
+impl ProfileOutcome {
+    /// The `selfmaint profile` table body, `(name, ns, spans, share %)`:
+    /// each subsystem row by share descending, followed by its leaves
+    /// (name indented two spaces, by wall time descending). A row's ns
+    /// and spans are the exact sums of its leaves'.
+    pub fn table_rows(&self) -> Vec<(String, u64, u64, f64)> {
+        let rows = prof::rows(&self.leaves);
+        let mut out = Vec::new();
+        for &(sub, share) in &self.shares {
+            let &(_, ns, spans) = rows
+                .iter()
+                .find(|r| r.0 == sub)
+                .expect("every share has a row");
+            out.push((sub.to_string(), ns, spans, share));
+            let mut leaves: Vec<&Leaf> = self.leaves.iter().filter(|l| l.sub == sub).collect();
+            leaves.sort_by(|a, b| b.ns.cmp(&a.ns).then(a.kind.cmp(b.kind)));
+            for l in leaves {
+                let pct = self.report.timing[&format!("leaf-share/{sub}/{}", l.kind)];
+                out.push((format!("  {}", l.kind), l.ns, l.spans, pct));
+            }
+        }
+        out
+    }
+}
+
 /// Run the profiling harness. Panics only on engine bugs (a snapshot
 /// that will not restore); everything else is data in the outcome.
 pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
     let mut merged = ObsRegistry::enabled();
-    let mut wall_by_sub: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+    let mut wall: BTreeMap<(&'static str, &'static str), (u64, u64)> = BTreeMap::new();
     let mut queue_high_water = 0u64;
     let mut wall_s = 0.0f64;
 
@@ -142,30 +164,26 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
             .expect("profiling was on, so finish() packages obs");
         queue_high_water = queue_high_water.max(obs.registry.counter("prof/sched/max-pending"));
         merged.merge(&obs.registry);
-        for (sub, ns, spans) in &obs.prof_wall {
-            let e = wall_by_sub.entry(sub).or_insert((0, 0));
-            e.0 += ns;
-            e.1 += spans;
+        for l in &obs.prof_wall {
+            let e = wall.entry((l.sub, l.kind)).or_insert((0, 0));
+            e.0 += l.ns;
+            e.1 += l.spans;
         }
     }
 
-    let prof_wall: Vec<(&'static str, u64, u64)> = wall_by_sub
+    let leaves: Vec<Leaf> = wall
         .into_iter()
-        .map(|(sub, (ns, spans))| (sub, ns, spans))
-        .collect();
-    let total_ns: u64 = prof_wall.iter().map(|(_, ns, _)| ns).sum();
-    let mut shares: Vec<(&'static str, f64)> = prof_wall
-        .iter()
-        .map(|(sub, ns, _)| {
-            let pct = if total_ns == 0 {
-                0.0
-            } else {
-                100.0 * (*ns as f64) / (total_ns as f64)
-            };
-            (*sub, pct)
+        .map(|((sub, kind), (ns, spans))| Leaf {
+            sub,
+            kind,
+            ns,
+            spans,
         })
         .collect();
-    shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(b.0)));
+    let rows = prof::rows(&leaves);
+    let total_ns: u64 = rows.iter().map(|r| r.1).sum();
+    let mut shares = prof::shares(rows.iter().map(|&(sub, ns, _)| (sub, ns)));
+    shares.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
 
     let mut event_kinds: Vec<(String, u64)> = merged
         .counters_sorted()
@@ -212,27 +230,20 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
     for (sub, pct) in &shares {
         report.timing.insert(format!("share/{sub}"), *pct);
     }
+    for (l, pct) in prof::shares(leaves.iter().map(|l| (l, l.ns))) {
+        report
+            .timing
+            .insert(format!("leaf-share/{}/{}", l.sub, l.kind), pct);
+    }
     report
         .timing
         .insert("span-ns-total".to_string(), total_ns as f64);
-
-    report
-        .host
-        .insert("os".to_string(), std::env::consts::OS.to_string());
-    report
-        .host
-        .insert("arch".to_string(), std::env::consts::ARCH.to_string());
-    report.host.insert(
-        "cores".to_string(),
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .to_string(),
-    );
+    report.stamp_host();
 
     ProfileOutcome {
         report,
         registry: merged,
-        prof_wall,
+        leaves,
         shares,
         event_kinds,
         events,
@@ -307,6 +318,58 @@ mod tests {
         );
         assert!(out.report.timing.contains_key("events-per-sec"));
         assert!(out.report.timing.contains_key("peak-rss-bytes"));
+        for key in ["os", "arch", "cores"] {
+            assert!(out.report.host.contains_key(key), "host.{key} missing");
+        }
+    }
+
+    #[test]
+    fn leaves_sum_exactly_to_their_subsystem_rows() {
+        let out = run_profile(&tiny());
+        for kind in ["pop", "encode", "decode", "dispatch", "poll"] {
+            assert!(out.leaves.iter().any(|l| l.kind == kind), "no {kind} leaf");
+        }
+        // The printed table: every row is followed by its leaves, and
+        // the leaves' ns and spans sum exactly to the row.
+        let table = out.table_rows();
+        let mut rows_seen = 0;
+        let mut i = 0;
+        while i < table.len() {
+            let (name, ns, spans, _) = &table[i];
+            assert!(!name.starts_with(' '), "leaf {name:?} without a row");
+            rows_seen += 1;
+            let mut j = i + 1;
+            let (mut leaf_ns, mut leaf_spans) = (0u64, 0u64);
+            while j < table.len() && table[j].0.starts_with("  ") {
+                leaf_ns += table[j].1;
+                leaf_spans += table[j].2;
+                j += 1;
+            }
+            assert!(j > i + 1, "row {name} has no leaves");
+            assert_eq!((leaf_ns, leaf_spans), (*ns, *spans), "row {name}");
+            i = j;
+        }
+        assert_eq!(rows_seen, out.shares.len());
+        // Leaf shares sum to ~100 overall and to their subsystem's share.
+        let leaf_shares: Vec<(&String, f64)> = out
+            .report
+            .timing
+            .iter()
+            .filter(|(k, _)| k.starts_with("leaf-share/"))
+            .map(|(k, &v)| (k, v))
+            .collect();
+        assert_eq!(leaf_shares.len(), out.leaves.len());
+        let total: f64 = leaf_shares.iter().map(|(_, v)| v).sum();
+        assert!((total - 100.0).abs() < 1e-6, "leaf shares sum to {total}");
+        for (sub, share) in &out.shares {
+            let prefix = format!("leaf-share/{sub}/");
+            let sum: f64 = leaf_shares
+                .iter()
+                .filter(|(k, _)| k.starts_with(&prefix))
+                .map(|(_, v)| v)
+                .sum();
+            assert!((sum - share).abs() < 1e-6, "{sub}: {sum} vs {share}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The shared `BENCH_*` artifact schema.
 //!
-//! Every standing perf artifact the workspace writes (`BENCH_engine.json`
-//! today; the `BENCH_sweep.json` / `BENCH_obs.json` writers predate this
-//! schema and migrate as they are touched) is a [`BenchReport`]: a flat
-//! envelope with three subtrees whose contract differs —
+//! Every standing perf artifact the workspace writes (`BENCH_engine.json`,
+//! `BENCH_twin.json`, `BENCH_autonomic.json`, `BENCH_sweep.json`) is a
+//! [`BenchReport`]: a flat envelope with three subtrees whose contract
+//! differs —
 //!
 //! * `deterministic` — integer counts that must be byte-identical across
 //!   same-seed runs (event counts, span counts, queue high-water). CI
@@ -12,13 +12,12 @@
 //!   simulated day, peak RSS, span shares). Nondeterministic by nature;
 //!   never compared for equality, only against regression thresholds.
 //! * `host` — free-form machine metadata so a perf delta can be traced
-//!   to a hardware change.
+//!   to a hardware change ([`BenchReport::stamp_host`]).
 //!
-//! The module carries its own minimal JSON reader ([`parse_json`])
-//! because the vendored `serde_json` stub is serializer-only: baseline
-//! comparison (`selfmaint profile --baseline`) has to read artifacts
-//! written by older builds, so the reader accepts any standard JSON
-//! document, not just our own output.
+//! Baseline comparison (`selfmaint profile --baseline`) reads artifacts
+//! written by older builds through `serde_json::from_str`, which accepts
+//! any standard JSON document, not just our own output. That reader's
+//! tests live here, in a workspace member.
 
 use std::collections::BTreeMap;
 
@@ -108,11 +107,23 @@ impl BenchReport {
         s
     }
 
+    /// Stamp this machine's os, arch and core count into `host`.
+    pub fn stamp_host(&mut self) {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (k, v) in [
+            ("os", std::env::consts::OS.to_string()),
+            ("arch", std::env::consts::ARCH.to_string()),
+            ("cores", cores.to_string()),
+        ] {
+            self.host.insert(k.to_string(), v);
+        }
+    }
+
     /// Parse a report previously written by [`BenchReport::to_json`].
     /// Unknown top-level keys are ignored (forward compatibility);
     /// missing or mistyped required fields are errors.
     pub fn from_json(s: &str) -> Result<BenchReport, String> {
-        let v = parse_json(s)?;
+        let v = serde_json::from_str(s).map_err(|e| e.to_string())?;
         let bench = str_field(&v, "bench")?;
         let scenario = str_field(&v, "scenario")?;
         let schema = v
@@ -156,208 +167,10 @@ fn obj_field<'a>(v: &'a Value, key: &str) -> Result<&'a Map, String> {
         .ok_or_else(|| format!("missing or non-object {key:?}"))
 }
 
-/// Parse a JSON document into the vendored [`Value`] tree. Standard
-/// grammar (objects, arrays, strings with escapes, numbers, literals);
-/// trailing garbage after the top-level value is an error.
-pub fn parse_json(s: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {other:?} at byte {} (expected a JSON value)",
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut map = Map::default();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not emitted by our own
-                            // writer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!("unknown escape \\{}", char::from(other)));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number span");
-        if float {
-            let v: f64 = text.parse().map_err(|_| format!("bad number {text:?}"))?;
-            Ok(Value::Number(Number::F(v)))
-        } else if let Ok(u) = text.parse::<u64>() {
-            Ok(Value::Number(Number::U(u)))
-        } else {
-            let v: i64 = text.parse().map_err(|_| format!("bad number {text:?}"))?;
-            Ok(Value::Number(Number::I(v)))
-        }
-    }
+/// Availability scaled to parts-per-billion: deterministic per seed, so
+/// it can live in the byte-diffed `deterministic` subtree as a u64.
+pub(crate) fn ppb(availability: f64) -> u64 {
+    (availability * 1e9).round() as u64
 }
 
 #[cfg(test)]
@@ -396,8 +209,10 @@ mod tests {
 
     #[test]
     fn reader_accepts_standard_json_shapes() {
-        let v = parse_json("{\"a\": [1, -2, 3.5, true, false, null], \"s\": \"x\\n\\\"y\\u0041\"}")
-            .unwrap();
+        let v = serde_json::from_str(
+            "{\"a\": [1, -2, 3.5, true, false, null], \"s\": \"x\\n\\\"y\\u0041\"}",
+        )
+        .unwrap();
         let arr = v.get("a").and_then(Value::as_array).unwrap();
         assert_eq!(arr.len(), 6);
         assert_eq!(arr[0].as_u64(), Some(1));
@@ -415,7 +230,7 @@ mod tests {
             ("\"open", "unterminated string"),
             ("truth", "malformed literal"),
         ] {
-            let err = parse_json(doc).unwrap_err();
+            let err = serde_json::from_str(doc).unwrap_err().to_string();
             assert!(err.contains(needle), "{doc:?} → {err}");
         }
     }

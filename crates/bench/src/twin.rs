@@ -13,13 +13,13 @@
 //! price.
 
 use dcmaint_des::SimDuration;
-use dcmaint_scenarios::{ScenarioConfig, TopologySpec};
+use dcmaint_scenarios::ScenarioConfig;
 use dcmaint_sweep::derive_seed;
 use dcmaint_twin::{TwinConfig, TwinPolicy};
 use maintctl::AutomationLevel;
 
 use crate::profile::peak_rss_bytes;
-use crate::report::BenchReport;
+use crate::report::{ppb, BenchReport};
 
 /// What to benchmark. Defaults reproduce one E15-quick-shaped cell.
 #[derive(Debug, Clone)]
@@ -75,13 +75,7 @@ impl TwinBenchParams {
         let mut cfg = ScenarioConfig::at_level(seed, self.level);
         cfg.duration = SimDuration::from_days(self.days);
         if self.quick {
-            cfg.topology = TopologySpec::LeafSpine {
-                spines: 2,
-                leaves: 6,
-                servers_per_leaf: 2,
-            };
-            cfg.poll_period = SimDuration::from_secs(120);
-            cfg.faults.mtbi_per_link = SimDuration::from_days(12);
+            cfg.apply_quick_fabric();
         }
         cfg.obs.profiling = true;
         if twin {
@@ -112,12 +106,6 @@ pub struct TwinBenchOutcome {
     pub ladder_availability: f64,
     /// Total wall seconds across all seeds (twin arms only).
     pub wall_s: f64,
-}
-
-/// Availability scaled to parts-per-billion: deterministic per seed, so
-/// it can live in the byte-diffed `deterministic` subtree as a u64.
-fn ppb(availability: f64) -> u64 {
-    (availability * 1e9).round() as u64
 }
 
 /// Run the twin benchmark: ladder + twin arms per seed, planner
@@ -165,11 +153,9 @@ pub fn run_twin_bench(p: &TwinBenchParams) -> TwinBenchOutcome {
             .filter(|(name, _)| name.starts_with("prof/ev/"))
             .map(|(_, v)| v)
             .sum::<u64>();
-        for (sub, ns, spans) in &obs.prof_wall {
-            if *sub == "twin" {
-                twin_span_ns += ns;
-                twin_spans += spans;
-            }
+        for l in obs.prof_wall.iter().filter(|l| l.sub == "twin") {
+            twin_span_ns += l.ns;
+            twin_spans += l.spans;
         }
     }
 
@@ -229,19 +215,7 @@ pub fn run_twin_bench(p: &TwinBenchParams) -> TwinBenchOutcome {
     report
         .timing
         .insert("peak-rss-bytes".to_string(), peak_rss_bytes() as f64);
-
-    report
-        .host
-        .insert("os".to_string(), std::env::consts::OS.to_string());
-    report
-        .host
-        .insert("arch".to_string(), std::env::consts::ARCH.to_string());
-    report.host.insert(
-        "cores".to_string(),
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .to_string(),
-    );
+    report.stamp_host();
 
     TwinBenchOutcome {
         report,

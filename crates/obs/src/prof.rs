@@ -1,5 +1,6 @@
-//! The engine self-profiler: per-subsystem span accounting for the
-//! maintenance plane's *own* hot paths.
+//! The engine self-profiler: the engine's one wall-clock timer, and
+//! per-subsystem accounting for the maintenance plane's *own* hot
+//! paths.
 //!
 //! A plane that manages itself must first observe itself (the MAPE-K
 //! premise). This module is the observation layer for the simulator's
@@ -16,10 +17,14 @@
 //!   These live in the [`ObsRegistry`](crate::ObsRegistry) under
 //!   `prof/…` keys, so they merge across sweep workers, persist through
 //!   checkpoints, and are byte-identical across same-seed runs.
-//! * **Timing-only spans** — wall-clock nanoseconds per subsystem,
-//!   accumulated by a [`WallProfile`] owned here. Inherently
-//!   nondeterministic; surfaced only via side files (`BENCH_engine.json`)
-//!   and stderr, never on any seeded output path.
+//! * **Timing-only spans** — wall-clock nanoseconds per [`Leaf`], a
+//!   `(subsystem, kind)` pair. Each dispatched event is one span under
+//!   its subsystem and event kind (`controller/dispatch`, `dcnet/poll`,
+//!   …); the spans that are not events are leaves too: `sched/pop`,
+//!   `twin/plan`, `ckpt/encode` and `ckpt/decode`. A subsystem row is
+//!   the sum of its leaves ([`rows`]). Inherently nondeterministic;
+//!   surfaced only via side files (`BENCH_engine.json`) and stderr,
+//!   never on any seeded output path.
 //!
 //! When disabled a `Prof` is fully inert: [`Prof::start`] returns `None`
 //! without reading the clock, [`Prof::record`] returns before touching
@@ -50,22 +55,36 @@ pub const SUBSYSTEMS: &[&str] = &[
     "autonomic",  // MAPE-K loop: monitor windows, posterior updates, knob moves
 ];
 
-/// Scoped wall timing per subsystem. A thin wrapper over
-/// [`WallProfile`] — the `Instant` values it handles are produced inside
-/// `obs::wall`, the single module sanctioned to read the clock — plus
-/// the enabled flag the engine's deterministic-count hooks key off.
+/// Accumulated wall time of one `(subsystem, kind)` span site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leaf {
+    /// Subsystem from [`SUBSYSTEMS`].
+    pub sub: &'static str,
+    /// Event kind (`dispatch`, `poll`, …) or non-event site (`pop`,
+    /// `plan`, `encode`, `decode`).
+    pub kind: &'static str,
+    /// Total wall nanoseconds.
+    pub ns: u64,
+    /// Spans recorded.
+    pub spans: u64,
+}
+
+/// Scoped wall timing per leaf. The `Instant` values it handles are
+/// produced inside `obs::wall`, the single module sanctioned to read
+/// the clock; the same switch gates the engine's deterministic-count
+/// hooks.
 #[derive(Debug, Clone, Default)]
 pub struct Prof {
-    enabled: bool,
-    wall: WallProfile,
+    clock: WallProfile,
+    leaves: Vec<Leaf>,
 }
 
 impl Prof {
     /// A profiler that records.
     pub fn enabled() -> Self {
         Prof {
-            enabled: true,
-            wall: WallProfile::enabled(),
+            clock: WallProfile::enabled(),
+            leaves: Vec::new(),
         }
     }
 
@@ -78,52 +97,83 @@ impl Prof {
     /// this before touching the registry so a disabled profiler leaves
     /// zero `prof/…` entries.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.clock.is_enabled()
     }
 
     /// Open a span: reads the clock iff profiling is on. Pass the
     /// result to [`Prof::record`] after the measured section.
     pub fn start(&self) -> Option<Instant> {
-        self.wall.start()
+        self.clock.start()
     }
 
-    /// Close a span under `subsystem`. No-op when `started` is `None`.
-    pub fn record(&mut self, subsystem: &'static str, started: Option<Instant>) {
-        self.wall.record(subsystem, started);
+    /// Close a span under the leaf `(sub, kind)`. No-op when `started`
+    /// is `None`.
+    pub fn record(&mut self, sub: &'static str, kind: &'static str, started: Option<Instant>) {
+        let Some(t0) = started else {
+            return;
+        };
+        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        match self
+            .leaves
+            .iter_mut()
+            .find(|l| l.kind == kind && l.sub == sub)
+        {
+            Some(l) => {
+                l.ns = l.ns.saturating_add(ns);
+                l.spans += 1;
+            }
+            None => self.leaves.push(Leaf {
+                sub,
+                kind,
+                ns,
+                spans: 1,
+            }),
+        }
     }
 
-    /// Accumulated `(subsystem, total ns, spans)` entries, sorted by
-    /// subsystem name. Empty when disabled.
-    pub fn entries(&self) -> Vec<(&'static str, u64, u64)> {
-        self.wall.entries_sorted()
+    /// The accumulated leaves, sorted by `(subsystem, kind)` — first-touch
+    /// order is a timing artifact and must not leak into any rendered
+    /// output. Empty when disabled.
+    pub fn leaves(&self) -> Vec<Leaf> {
+        let mut leaves = self.leaves.clone();
+        leaves.sort_by_key(|l| (l.sub, l.kind));
+        leaves
     }
+}
 
-    /// Total spans recorded.
-    pub fn total_count(&self) -> u64 {
-        self.wall.total_count()
+/// Subsystem rows `(subsystem, total ns, spans)`, each the exact sum of
+/// its leaves. `leaves` must be grouped by subsystem, as
+/// [`Prof::leaves`] returns them.
+pub fn rows(leaves: &[Leaf]) -> Vec<(&'static str, u64, u64)> {
+    let mut rows: Vec<(&'static str, u64, u64)> = Vec::new();
+    for l in leaves {
+        match rows.last_mut() {
+            Some(row) if row.0 == l.sub => {
+                row.1 = row.1.saturating_add(l.ns);
+                row.2 += l.spans;
+            }
+            _ => rows.push((l.sub, l.ns, l.spans)),
+        }
     }
-
-    /// Render as a JSON object string (same shape as `BENCH_obs.json`).
-    pub fn to_json(&self) -> String {
-        self.wall.to_json()
-    }
+    rows
 }
 
 /// Wall share per entry in percent of the summed total. Shares are
 /// computed over the entry set itself, so they sum to ~100% by
 /// construction (modulo float rounding); an empty or all-zero set
 /// yields all-zero shares.
-pub fn shares(entries: &[(&'static str, u64, u64)]) -> Vec<(&'static str, f64)> {
+pub fn shares<K>(entries: impl IntoIterator<Item = (K, u64)>) -> Vec<(K, f64)> {
+    let entries: Vec<(K, u64)> = entries.into_iter().collect();
     let total: u64 = entries.iter().fold(0u64, |acc, e| acc.saturating_add(e.1));
     entries
-        .iter()
-        .map(|&(name, ns, _)| {
+        .into_iter()
+        .map(|(key, ns)| {
             let pct = if total == 0 {
                 0.0
             } else {
                 100.0 * ns as f64 / total as f64
             };
-            (name, pct)
+            (key, pct)
         })
         .collect()
 }
@@ -138,39 +188,48 @@ mod tests {
         assert!(!p.is_enabled());
         let t = p.start();
         assert!(t.is_none(), "disabled profiler must not read the clock");
-        p.record("sched", t);
-        assert_eq!(p.total_count(), 0);
-        assert!(p.entries().is_empty());
-        assert_eq!(p.to_json(), "{}");
+        p.record("sched", "pop", t);
+        assert!(p.leaves().is_empty());
     }
 
     #[test]
-    fn enabled_prof_accumulates_per_subsystem() {
+    fn enabled_prof_accumulates_per_leaf_and_rows_sum_them() {
         let mut p = Prof::enabled();
         assert!(p.is_enabled());
-        p.record("tickets", p.start());
-        p.record("sched", p.start());
-        p.record("tickets", p.start());
-        assert_eq!(p.total_count(), 3);
-        let e = p.entries();
-        assert_eq!(e.len(), 2);
-        // Sorted by name regardless of first-touch order.
-        assert_eq!(e[0].0, "sched");
-        assert_eq!(e[1].0, "tickets");
-        assert_eq!(e[1].2, 2);
+        p.record("tickets", "verify-done", p.start());
+        p.record("sched", "pop", p.start());
+        p.record("controller", "predictive-scan", p.start());
+        p.record("tickets", "verify-done", p.start());
+        p.record("controller", "dispatch", p.start());
+        let leaves = p.leaves();
+        // Sorted by (subsystem, kind) regardless of first-touch order.
+        let keys: Vec<_> = leaves.iter().map(|l| (l.sub, l.kind, l.spans)).collect();
+        assert_eq!(
+            keys,
+            [
+                ("controller", "dispatch", 1),
+                ("controller", "predictive-scan", 1),
+                ("sched", "pop", 1),
+                ("tickets", "verify-done", 2),
+            ]
+        );
+        let r = rows(&leaves);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r[0], ("controller", leaves[0].ns + leaves[1].ns, 2));
+        assert_eq!((r[2].0, r[2].2), ("tickets", 2));
+        assert!(rows(&[]).is_empty());
     }
 
     #[test]
     fn shares_sum_to_one_hundred_percent() {
-        let entries = [("a", 300u64, 3u64), ("b", 100, 1), ("c", 600, 2)];
-        let s = shares(&entries);
+        let s = shares([("a", 300u64), ("b", 100), ("c", 600)]);
         let total: f64 = s.iter().map(|&(_, pct)| pct).sum();
         assert!((total - 100.0).abs() < 1e-9, "shares sum to {total}");
         assert!((s[0].1 - 30.0).abs() < 1e-9);
         assert!((s[2].1 - 60.0).abs() < 1e-9);
         // Degenerate sets stay well-defined.
-        assert!(shares(&[]).is_empty());
-        assert_eq!(shares(&[("z", 0, 0)])[0].1, 0.0);
+        assert!(shares(Vec::<(&str, u64)>::new()).is_empty());
+        assert_eq!(shares([("z", 0)])[0].1, 0.0);
     }
 
     #[test]

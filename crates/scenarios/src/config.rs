@@ -232,6 +232,20 @@ impl ScenarioConfig {
         cfg
     }
 
+    /// Reshape to the small CI fabric every `--quick` run shares (one
+    /// E1 quick cell, `sweep --quick`, `profile`/`plan --quick`, serve's
+    /// `quick=1`): a 2×6×2 leaf-spine, 120 s telemetry polls and a
+    /// 12-day per-link MTBI, so a two-week run stays busy but fast.
+    pub fn apply_quick_fabric(&mut self) {
+        self.topology = TopologySpec::LeafSpine {
+            spines: 2,
+            leaves: 6,
+            servers_per_leaf: 2,
+        };
+        self.poll_period = SimDuration::from_secs(120);
+        self.faults.mtbi_per_link = SimDuration::from_days(12);
+    }
+
     /// The controller config this scenario runs.
     pub fn controller_config(&self) -> ControllerConfig {
         self.controller

@@ -42,7 +42,7 @@ use dcmaint_faults::{
     RepairAction, RootCause,
 };
 use dcmaint_metrics::{CostLedger, FleetAvailability, HardwareKind};
-use dcmaint_obs::{JVal, Journal, ObsRegistry, ObsReport, Prof, TraceStore, WallProfile};
+use dcmaint_obs::{JVal, Journal, ObsRegistry, ObsReport, Prof, TraceStore};
 use dcmaint_robotics::{
     afflict, run_clean, run_replace, run_reseat, OpOutcome, ReplaceKind, RobotFleet, UnitHealth,
 };
@@ -115,36 +115,11 @@ pub(crate) enum Ev {
 }
 
 impl Ev {
-    /// Stable name used to key wall-clock profiling of the hot loop.
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Ev::Fault => "fault",
-            Ev::SelfHeal { .. } => "self-heal",
-            Ev::Flap { .. } => "flap",
-            Ev::LatentManifest { .. } => "latent-manifest",
-            Ev::BurstEnd { .. } => "burst-end",
-            Ev::Poll => "poll",
-            Ev::Dispatch { .. } => "dispatch",
-            Ev::RepairStart { .. } => "repair-start",
-            Ev::RepairDone { .. } => "repair-done",
-            Ev::VerifyDone { .. } => "verify-done",
-            Ev::ProactiveScan => "proactive-scan",
-            Ev::ProactiveOpen { .. } => "proactive-open",
-            Ev::PredictiveScan => "predictive-scan",
-            Ev::AutonomicTick => "autonomic-tick",
-            Ev::Scripted { .. } => "scripted",
-            Ev::PredictiveLabel { .. } => "predictive-label",
-            Ev::OpStalled { .. } => "op-stalled",
-            Ev::OpAborted { .. } => "op-aborted",
-            Ev::WatchdogFired { .. } => "watchdog-fired",
-            Ev::RobotRecovered { .. } => "robot-recovered",
-        }
-    }
-
     /// Self-profiler attribution (DESIGN §3.13): the subsystem whose
     /// wall span this event's handler runs under, plus the static
     /// registry keys for the deterministic per-kind and per-subsystem
-    /// counts. Subsystem names come from [`dcmaint_obs::prof::SUBSYSTEMS`].
+    /// counts. Subsystem names come from [`dcmaint_obs::prof::SUBSYSTEMS`];
+    /// the event's kind name is the per-kind key's `prof/ev/` suffix.
     fn prof_attribution(&self) -> (&'static str, &'static str, &'static str) {
         match self {
             Ev::Fault => ("faults", "prof/ev/fault", "prof/sub/faults"),
@@ -359,8 +334,8 @@ pub struct Engine {
     pub(crate) journal: Journal,
     pub(crate) registry: ObsRegistry,
     pub(crate) traces: TraceStore,
-    pub(crate) wall: WallProfile,
-    /// Engine self-profiler (DESIGN §3.13): per-subsystem wall spans
+    /// Engine self-profiler (DESIGN §3.13): the engine's one wall
+    /// timer, one span per event under its `(subsystem, kind)` leaf,
     /// plus the enabled flag the deterministic `prof/…` registry hooks
     /// key off. Inert unless `cfg.obs.profiling`.
     pub(crate) prof: Prof,
@@ -471,11 +446,6 @@ fn build_engine(cfg: ScenarioConfig) -> Engine {
             TraceStore::enabled()
         } else {
             TraceStore::disabled()
-        },
-        wall: if cfg.obs.wall_profiling {
-            WallProfile::enabled()
-        } else {
-            WallProfile::disabled()
         },
         prof: if cfg.obs.profiling {
             Prof::enabled()
@@ -619,22 +589,20 @@ impl Engine {
         // no-op returning `None` when profiling is off.
         let t_pop = self.prof.start();
         let popped = sched.pop();
-        self.prof.record("sched", t_pop);
+        self.prof.record("sched", "pop", t_pop);
         let out = if let Some(Fired { at, payload, .. }) = popped {
             // Stamp the journal clock once per dispatch; emitters never
             // thread `now` through their signatures.
             self.journal.set_now(at);
-            let kind = payload.kind_name();
             let (sub, ev_key, sub_key) = payload.prof_attribution();
+            let kind = &ev_key["prof/ev/".len()..];
             if self.prof.is_enabled() {
                 self.registry.inc(ev_key);
                 self.registry.inc(sub_key);
             }
-            let t_sub = self.prof.start();
-            let t0 = self.wall.start();
+            let t = self.prof.start();
             self.handle(payload, at, &mut sched);
-            self.wall.record(kind, t0);
-            self.prof.record(sub, t_sub);
+            self.prof.record(sub, kind, t);
             Some((at, kind))
         } else {
             None
@@ -698,7 +666,7 @@ impl Engine {
         self.twin_planned.insert(ticket);
         let t = self.prof.start();
         self.plan_dispatch(ticket, now, &tcfg);
-        self.prof.record("twin", t);
+        self.prof.record("twin", "plan", t);
     }
 
     /// Enumerate candidates from inspectable state (no RNG draws), fork
@@ -2601,12 +2569,7 @@ impl Engine {
                 journal_dropped,
                 traces: self.traces.into_traces(),
                 registry: self.registry,
-                wall_json: if self.wall.is_enabled() {
-                    Some(self.wall.to_json())
-                } else {
-                    None
-                },
-                prof_wall: self.prof.entries(),
+                prof_wall: self.prof.leaves(),
             })
         } else {
             None
@@ -3198,7 +3161,18 @@ mod tests {
 
     #[test]
     fn profiler_counts_are_deterministic_and_consistent() {
-        let a = run(small_prof(16, AutomationLevel::L3, 15));
+        // Run `a` by hand so every dispatched event's attribution can be
+        // read off the queue head before it is popped.
+        let mut eng = Engine::new(small_prof(16, AutomationLevel::L3, 15));
+        let mut attributed: BTreeMap<&'static str, &'static str> = BTreeMap::new();
+        while let Some((_, ev)) = eng.sched.peek() {
+            let (sub, ev_key, _) = ev.prof_attribution();
+            attributed.insert(&ev_key["prof/ev/".len()..], sub);
+            eng.step_event();
+        }
+        // The final drain pop, as `execute` makes it.
+        assert!(eng.step_event().is_none());
+        let a = eng.finish_report();
         let b = run(small_prof(16, AutomationLevel::L3, 15));
         let (oa, ob) = (a.obs.unwrap(), b.obs.unwrap());
         // Counts (the deterministic half) are byte-identical.
@@ -3238,15 +3212,31 @@ mod tests {
         assert!(oa.registry.counter("prof/dcnet/link-recompute") > 0);
         assert!(oa.registry.counter("prof/tickets/open") > 0);
         assert!(oa.registry.counter("prof/robotics/booking") > 0);
-        // The timing half exists (nondeterministic values; only shape
-        // is asserted): spans per subsystem, shares summing to ~100%.
-        assert!(!oa.prof_wall.is_empty());
-        let span_total: u64 = oa.prof_wall.iter().map(|e| e.2).sum();
-        // Every delivered event opened a subsystem span, plus one
-        // "sched" span per pop (including the final drain pop).
-        assert!(span_total > ev_total);
-        let shares = dcmaint_obs::prof::shares(&oa.prof_wall);
-        let pct: f64 = shares.iter().map(|&(_, p)| p).sum();
+        // The timing half (nondeterministic values; only shape is
+        // asserted). Every event-kind leaf sits under the subsystem
+        // `prof_attribution` gives it, and — this run has no restore —
+        // spans exactly as many events as its `prof/ev/<kind>` count.
+        // The only other leaf is the scheduler pop, once per pop
+        // including the final drain pop.
+        for leaf in &oa.prof_wall {
+            match attributed.get(leaf.kind) {
+                Some(&sub) => {
+                    assert_eq!(leaf.sub, sub, "{} filed under {}", leaf.kind, leaf.sub);
+                    let key = format!("prof/ev/{}", leaf.kind);
+                    assert_eq!(leaf.spans, oa.registry.counter(&key), "{key}");
+                }
+                None => assert_eq!((leaf.sub, leaf.kind), ("sched", "pop")),
+            }
+        }
+        let ev_leaves = oa.prof_wall.iter().filter(|l| l.kind != "pop").count();
+        assert_eq!(ev_leaves, attributed.len(), "an event kind without a leaf");
+        let pops = oa.prof_wall.iter().find(|l| l.kind == "pop").unwrap();
+        assert_eq!(pops.spans, ev_total + 1);
+        let rows = dcmaint_obs::prof::rows(&oa.prof_wall);
+        let pct: f64 = dcmaint_obs::prof::shares(rows.iter().map(|&(s, ns, _)| (s, ns)))
+            .iter()
+            .map(|&(_, p)| p)
+            .sum();
         assert!((pct - 100.0).abs() < 1e-6, "shares sum to {pct}");
     }
 

@@ -68,13 +68,7 @@ fn config_for(p: &E1Params, level: AutomationLevel) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::at_level(p.seed, level);
     cfg.duration = p.duration;
     if p.small_fabric {
-        cfg.topology = crate::config::TopologySpec::LeafSpine {
-            spines: 2,
-            leaves: 6,
-            servers_per_leaf: 2,
-        };
-        cfg.poll_period = SimDuration::from_secs(120);
-        cfg.faults.mtbi_per_link = SimDuration::from_days(12);
+        cfg.apply_quick_fabric();
     }
     cfg
 }

@@ -23,9 +23,8 @@
 //! * The topology, service pairs, and component configurations — all
 //!   derived deterministically from [`ScenarioConfig`], whose
 //!   fingerprint the snapshot header pins ([`Snapshot::require_config`]).
-//! * Wall-clock profiling ([`dcmaint_obs::WallProfile`], the
-//!   self-profiler) — observational only, never feeds back into the
-//!   simulation.
+//! * The self-profiler's wall spans ([`dcmaint_obs::Prof`]) —
+//!   observational only, never feeds back into the simulation.
 
 use dcmaint_ckpt::{fnv1a64, CkptError, Dec, Enc, Persist, Snapshot, StateHash};
 use dcmaint_des::{RngRestore, SimRng, Stream, StreamRestore};
@@ -175,7 +174,6 @@ dcmaint_ckpt::persist!(Engine {
     cfg: "pinned by the snapshot header's config fingerprint",
     topo: "built from the config",
     service_pairs: "sampled from the topology and seed at construction",
-    wall: "wall-clock observation; host timings would leak into restored runs",
     prof: "self-profiler; a restored run re-counts from its resume point",
 });
 
@@ -293,14 +291,14 @@ impl Engine {
     }
 
     /// Bench-harness hook: capture a snapshot under the self-profiler's
-    /// "ckpt" wall span, recording deterministic encode count and
+    /// `ckpt/encode` wall span, recording deterministic encode count and
     /// payload size as `prof/ckpt/…` registry entries. The increments
     /// land *after* encoding so the snapshot never includes its own
     /// bookkeeping.
     pub fn profiled_snapshot(&mut self) -> Snapshot {
         let t = self.prof.start();
         let snap = self.snapshot();
-        self.prof.record("ckpt", t);
+        self.prof.record("ckpt", "encode", t);
         if self.prof.is_enabled() {
             self.registry.inc("prof/ckpt/encode");
             self.registry
@@ -310,12 +308,12 @@ impl Engine {
     }
 
     /// Bench-harness hook: decode `snap` into a throwaway engine under
-    /// the "ckpt" wall span. The restored engine is dropped — this
+    /// the `ckpt/decode` wall span. The restored engine is dropped — this
     /// measures decode cost without disturbing the running simulation.
     pub fn profiled_restore(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
         let t = self.prof.start();
         let restored = Engine::restore(self.cfg.clone(), snap)?;
-        self.prof.record("ckpt", t);
+        self.prof.record("ckpt", "decode", t);
         drop(restored);
         if self.prof.is_enabled() {
             self.registry.inc("prof/ckpt/decode");

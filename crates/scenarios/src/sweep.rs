@@ -27,7 +27,7 @@ use dcmaint_obs::{ObsConfig, ObsRegistry};
 use dcmaint_sweep::{aggregate_tables, derive_seed, run_jobs, JobResult};
 use maintctl::AutomationLevel;
 
-use crate::config::{ScenarioConfig, TopologySpec};
+use crate::config::ScenarioConfig;
 use crate::engine::run;
 use crate::experiments::{self as exp, fdur};
 use crate::report::SweepMetrics;
@@ -406,13 +406,7 @@ fn engine_config(p: &EngineSweepParams, level: AutomationLevel, seed: u64) -> Sc
     let mut cfg = ScenarioConfig::at_level(seed, level);
     cfg.duration = SimDuration::from_days(p.days);
     if p.small_fabric {
-        cfg.topology = TopologySpec::LeafSpine {
-            spines: 2,
-            leaves: 6,
-            servers_per_leaf: 2,
-        };
-        cfg.poll_period = SimDuration::from_secs(120);
-        cfg.faults.mtbi_per_link = SimDuration::from_days(12);
+        cfg.apply_quick_fabric();
     }
     if p.obs {
         cfg.obs = ObsConfig::enabled();

@@ -3,7 +3,7 @@
 //! numbers ISSUE cares about — job throughput, concurrent stream
 //! delivery, and recovery latency after an injected crash.
 //!
-//! Like `--bench-obs` and `--bench-sweep`, every wall-clock number lands
+//! Like `--bench-sweep`, every wall-clock number lands
 //! in a side file (`BENCH_serve.json`, written by the CLI) and stderr,
 //! never on deterministic stdout. The bench doubles as a determinism
 //! check: the crash-recovered job's output must byte-match the clean

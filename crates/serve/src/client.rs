@@ -1,12 +1,8 @@
 //! Minimal HTTP client helpers for talking to a running daemon — used
 //! by the CLI (`selfmaint serve --submit …` style tooling), the test
 //! suites, and the bench harness. One request per connection, mirroring
-//! the server's `Connection: close` discipline.
-//!
-//! The vendored `serde_json` stub serializes but does not parse, so the
-//! field extractors here scan the (single-line, server-authored) JSON
-//! bodies textually. That is fine for this crate's own wire format and
-//! deliberately not a general JSON parser.
+//! the server's `Connection: close` discipline. JSON bodies are read
+//! with `serde_json::from_str`.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -51,7 +47,10 @@ pub fn submit(port: u16, spec_line: &str) -> Result<u64, String> {
     if resp.status != 202 {
         return Err(format!("submit rejected ({}): {}", resp.status, resp.body));
     }
-    json_u64(&resp.body, "id").ok_or_else(|| format!("no id in response: {}", resp.body))
+    serde_json::from_str(&resp.body)
+        .ok()
+        .and_then(|v| v["id"].as_u64())
+        .ok_or_else(|| format!("no id in response: {}", resp.body))
 }
 
 /// Poll `GET /v1/jobs/<id>` until the job reaches a terminal state
@@ -64,9 +63,9 @@ pub fn wait_terminal(port: u16, id: u64, deadline: Duration) -> Result<String, S
     loop {
         let resp =
             request(port, "GET", &format!("/v1/jobs/{id}"), "").map_err(|e| e.to_string())?;
-        if let Some(state) = json_str(&resp.body, "state") {
-            if matches!(state.as_str(), "done" | "failed" | "parked") {
-                return Ok(state);
+        if let Ok(v) = serde_json::from_str(&resp.body) {
+            if let Some(state @ ("done" | "failed" | "parked")) = v["state"].as_str() {
+                return Ok(state.to_string());
             }
         }
         if start.elapsed() > deadline {
@@ -112,36 +111,32 @@ pub fn open_stream(port: u16) -> io::Result<BufReader<TcpStream>> {
     }
 }
 
-/// Extract an unsigned integer field from a flat JSON object body.
-pub fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let tail = body.split(&format!("\"{key}\":")).nth(1)?;
-    let digits: String = tail
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract a string field from a flat JSON object body.
-pub fn json_str(body: &str, key: &str) -> Option<String> {
-    let tail = body.split(&format!("\"{key}\":")).nth(1)?;
-    let tail = tail.trim_start().strip_prefix('"')?;
-    Some(tail.split('"').next()?.to_string())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// Bodies exactly as the server renders them (compact, no spaces).
     #[test]
-    fn field_extractors_handle_server_authored_bodies() {
-        let body = r#"{"id":42,"state":"done","attempts":2,"message":""}"#;
-        assert_eq!(json_u64(body, "id"), Some(42));
-        assert_eq!(json_u64(body, "attempts"), Some(2));
-        assert_eq!(json_str(body, "state").as_deref(), Some("done"));
-        assert_eq!(json_str(body, "message").as_deref(), Some(""));
-        assert_eq!(json_u64(body, "missing"), None);
-        assert_eq!(json_str(body, "id"), None, "numbers are not strings");
+    fn from_str_reads_server_authored_bodies() {
+        let v =
+            serde_json::from_str(r#"{"id":42,"state":"done","attempts":2,"message":""}"#).unwrap();
+        assert_eq!(v["id"].as_u64(), Some(42));
+        assert_eq!(v["attempts"].as_u64(), Some(2));
+        assert_eq!(v["state"].as_str(), Some("done"));
+        assert_eq!(v["message"].as_str(), Some(""));
+        assert_eq!(v["missing"].as_u64(), None);
+        assert_eq!(v["id"].as_str(), None, "numbers are not strings");
+    }
+
+    /// A message with escaped quotes reads back whole. Spec-parse and
+    /// panic messages quote tokens with `{:?}`, so the server's JSON
+    /// carries `\"` escapes inside string values.
+    #[test]
+    fn escaped_quotes_inside_a_message_read_back_whole() {
+        let body = serde_json::to_string(&serde_json::json!({
+            "message": "panicked at 'unknown \"x\"'"
+        }))
+        .unwrap();
+        assert_eq!(body, r#"{"message":"panicked at 'unknown \"x\"'"}"#);
+        let v = serde_json::from_str(&body).unwrap();
+        assert_eq!(v["message"].as_str(), Some("panicked at 'unknown \"x\"'"));
     }
 }

@@ -11,7 +11,7 @@
 
 use dcmaint_des::SimDuration;
 use dcmaint_obs::ObsConfig;
-use dcmaint_scenarios::{ScenarioConfig, TopologySpec};
+use dcmaint_scenarios::ScenarioConfig;
 use maintctl::AutomationLevel;
 
 /// What kind of work a job is.
@@ -201,13 +201,7 @@ impl JobSpec {
         let mut cfg = ScenarioConfig::at_level(self.seed, level);
         cfg.duration = SimDuration::from_days(self.days);
         if self.quick {
-            cfg.topology = TopologySpec::LeafSpine {
-                spines: 2,
-                leaves: 6,
-                servers_per_leaf: 2,
-            };
-            cfg.poll_period = SimDuration::from_secs(120);
-            cfg.faults.mtbi_per_link = SimDuration::from_days(12);
+            cfg.apply_quick_fabric();
         }
         if self.obs {
             cfg.obs = ObsConfig::enabled();
@@ -246,6 +240,7 @@ fn parse_bool(k: &str, v: &str) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcmaint_scenarios::TopologySpec;
 
     #[test]
     fn canonical_line_round_trips() {
@@ -326,5 +321,7 @@ mod tests {
                 servers_per_leaf: 2
             }
         ));
+        assert_eq!(cfg.poll_period, SimDuration::from_secs(120));
+        assert_eq!(cfg.faults.mtbi_per_link, SimDuration::from_days(12));
     }
 }

@@ -30,6 +30,11 @@ fn config(tag: &str) -> ServeConfig {
 const QUICK: &str = "kind=run level=L3 days=2 quick=1 obs=1 seed=5";
 const DEADLINE: Duration = Duration::from_secs(120);
 
+/// A response body parsed as JSON.
+fn json(body: &str) -> serde_json::Value {
+    serde_json::from_str(body).unwrap_or_else(|e| panic!("{e}: {body:?}"))
+}
+
 /// Run one spec on a throwaway daemon and return its output bytes — the
 /// reference for byte-identity assertions.
 fn reference_output(tag: &str, spec: &str) -> String {
@@ -57,11 +62,8 @@ fn submit_complete_status_and_metrics() {
 
     let status = client::request(port, "GET", "/status", "").unwrap();
     assert_eq!(status.status, 200);
-    assert_eq!(
-        client::json_str(&status.body, "state").as_deref(),
-        Some("running")
-    );
-    assert_eq!(client::json_u64(&status.body, "done"), Some(1));
+    assert_eq!(json(&status.body)["state"].as_str(), Some("running"));
+    assert_eq!(json(&status.body)["done"].as_u64(), Some(1));
 
     let metrics = client::request(port, "GET", "/metrics", "").unwrap();
     assert!(
@@ -92,11 +94,13 @@ fn submit_complete_status_and_metrics() {
             .status,
         405
     );
+    let bad = client::request(port, "POST", "/v1/jobs", "kind=walk").unwrap();
+    assert_eq!(bad.status, 400);
+    // Spec errors quote the offending token with `{:?}`; the escaped
+    // quotes read back whole.
     assert_eq!(
-        client::request(port, "POST", "/v1/jobs", "kind=walk")
-            .unwrap()
-            .status,
-        400
+        json(&bad.body)["error"].as_str(),
+        Some("unknown kind \"walk\"")
     );
 
     server.request_shutdown();
@@ -186,7 +190,8 @@ fn persistent_panics_fail_deterministically_without_taking_the_daemon() {
         "failed"
     );
     let rec = client::request(port, "GET", &format!("/v1/jobs/{bad}"), "").unwrap();
-    let msg = client::json_str(&rec.body, "message").unwrap();
+    let rec = json(&rec.body);
+    let msg = rec["message"].as_str().unwrap();
     assert!(
         msg.starts_with("failed after 2 attempt(s): panic: injected boom at"),
         "deterministic failure message, got {msg:?}"
@@ -215,7 +220,7 @@ fn full_queue_sheds_load_with_retry_after() {
     let t0 = std::time::Instant::now();
     loop {
         let rec = client::request(port, "GET", &format!("/v1/jobs/{running}"), "").unwrap();
-        if client::json_str(&rec.body, "state").as_deref() == Some("running") {
+        if json(&rec.body)["state"].as_str() == Some("running") {
             break;
         }
         assert!(t0.elapsed() < DEADLINE, "job never started");
@@ -294,7 +299,7 @@ fn wall_clock_timeout_kills_and_fails_deterministically() {
     assert_eq!(client::wait_terminal(port, id, DEADLINE).unwrap(), "failed");
     let rec = client::request(port, "GET", &format!("/v1/jobs/{id}"), "").unwrap();
     assert_eq!(
-        client::json_str(&rec.body, "message").as_deref(),
+        json(&rec.body)["message"].as_str(),
         Some("failed after 2 attempt(s): attempt 2 exceeded the wall-clock budget")
     );
     let metrics = client::request(port, "GET", "/metrics", "").unwrap();
@@ -306,10 +311,7 @@ fn wall_clock_timeout_kills_and_fails_deterministically() {
 
     // The timed-out job did not take the daemon with it.
     let status = client::request(port, "GET", "/status", "").unwrap();
-    assert_eq!(
-        client::json_str(&status.body, "state").as_deref(),
-        Some("running")
-    );
+    assert_eq!(json(&status.body)["state"].as_str(), Some("running"));
     server.request_shutdown();
     server.join();
 }

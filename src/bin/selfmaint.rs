@@ -15,13 +15,10 @@
 //! selfmaint topo   [--seed 42]          # self-maintainability report
 //! selfmaint levels                      # print the automation taxonomy
 //! selfmaint trace  [--level L3] [--days 14] [--seed 42] [--incident N]
-//!                  [--journal PATH] [--bench-obs]
+//!                  [--journal PATH]
 //!                  # run with the observability plane on: incident index,
 //!                  # service-window span breakdown, one incident's span
-//!                  # tree (--incident), the JSONL journal (--journal),
-//!                  # and wall-clock profiling to BENCH_obs.json
-//!                  # (--bench-obs; kept off stdout so the deterministic
-//!                  # output stays byte-reproducible)
+//!                  # tree (--incident) and the JSONL journal (--journal)
 //! selfmaint sweep  [--seeds 8] [--jobs 1] [--days 14] [--seed 42]
 //!                  [--level L3|all] [--quick] [--csv] [--obs]
 //!                  [--autonomic] [--journal PATH] [--bench-sweep]
@@ -33,8 +30,8 @@
 //!                  # seed-replicated level sweep on the work-stealing
 //!                  # pool: mean ±95% CI columns, merged observability,
 //!                  # byte-identical stdout for any --jobs value; wall
-//!                  # scaling to BENCH_sweep.json (--bench-sweep, off
-//!                  # stdout like --bench-obs). --manifest checkpoints
+//!                  # scaling to BENCH_sweep.json (--bench-sweep, kept
+//!                  # off stdout). --manifest checkpoints
 //!                  # every finished job to DIR; --resume skips jobs
 //!                  # already present there and the merged output stays
 //!                  # byte-identical to an uninterrupted sweep
@@ -43,7 +40,8 @@
 //!                  [--baseline PATH] [--threshold 20] [--report-only]
 //!                  # engine self-profiler: run one E1 scenario cell per
 //!                  # seed with the obs::prof profiler on, print the
-//!                  # per-subsystem wall-share table and the top-K
+//!                  # wall-share table (each subsystem row followed by
+//!                  # its per-event-kind leaves) and the top-K
 //!                  # event-kind counts, and write the standing
 //!                  # BENCH_engine.json artifact (events/sec, wall per
 //!                  # simulated day, peak RSS, span shares, queue
@@ -156,7 +154,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("levels", "print the automation-level taxonomy", cmd_levels),
     (
         "trace",
-        "run with the observability plane: spans, journal, profiling",
+        "run with the observability plane: spans and journal",
         cmd_trace,
     ),
     (
@@ -564,12 +562,10 @@ fn cmd_trace(args: &[String]) {
     let days: u64 = parse_opt_or_exit(args, "--days", 14);
     let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
     let incident: Option<usize> = parse_opt_maybe_or_exit(args, "--incident");
-    let bench = flag(args, "--bench-obs");
 
     let mut cfg = ScenarioConfig::at_level(seed, level);
     cfg.duration = SimDuration::from_days(days);
     cfg.obs = ObsConfig::enabled();
-    cfg.obs.wall_profiling = bench;
 
     eprintln!(
         "tracing {days} simulated days at {} (seed {seed})…",
@@ -637,18 +633,6 @@ fn cmd_trace(args: &[String]) {
             obs.journal_emitted,
             obs.journal_dropped
         );
-    }
-
-    if bench {
-        let wall = obs.wall_json.as_deref().unwrap_or("{}");
-        std::fs::write("BENCH_obs.json", wall).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_obs.json: {e}");
-            std::process::exit(1);
-        });
-        // Written to a side file and announced on stderr only: wall-clock
-        // numbers vary run to run and must never contaminate the
-        // deterministic stdout.
-        eprintln!("wall-clock profile written to BENCH_obs.json");
     }
 }
 
@@ -750,8 +734,8 @@ fn cmd_sweep(args: &[String]) {
 }
 
 /// Measure sweep wall-clock scaling at 1/2/4/8 workers and write
-/// `BENCH_sweep.json` (a [`BenchReport`]). Like `--bench-obs`, the
-/// timings are inherently nondeterministic, so they go to the side file
+/// `BENCH_sweep.json` (a [`BenchReport`]). The timings are inherently
+/// nondeterministic, so they go to the side file
 /// and stderr only — the deterministic stdout is produced before this
 /// runs. Every worker count runs with the engine self-profiler on; the
 /// per-worker `prof/…` registries fold into one merged profile that
@@ -810,12 +794,7 @@ fn bench_sweep(p: &EngineSweepParams) {
         "profile-identical".to_string(),
         u64::from(profile_identical),
     );
-    report.host.insert(
-        "cores".to_string(),
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .to_string(),
-    );
+    report.stamp_host();
     std::fs::write("BENCH_sweep.json", report.to_json()).unwrap_or_else(|e| {
         eprintln!("cannot write BENCH_sweep.json: {e}");
         std::process::exit(1);
@@ -832,8 +811,9 @@ fn bench_sweep(p: &EngineSweepParams) {
 }
 
 /// `selfmaint profile`: the engine self-profiler. Runs one E1 scenario
-/// cell per seed with `obs::prof` on, prints the per-subsystem wall
-/// share table and top-K event-kind counts, and writes the standing
+/// cell per seed with `obs::prof` on, prints the wall-share table (each
+/// subsystem row followed by its leaves, indented) and top-K event-kind
+/// counts, and writes the standing
 /// `BENCH_engine.json` artifact. Unlike `run`/`sweep`, stdout here
 /// carries wall timings and is *not* byte-reproducible; the artifact's
 /// `deterministic` subtree is, and CI diffs exactly that.
@@ -870,16 +850,11 @@ fn cmd_profile(args: &[String]) {
                 ("share", Align::Right),
             ],
         );
-        for (sub, pct) in &out.shares {
-            let (_, ns, spans) = out
-                .prof_wall
-                .iter()
-                .find(|(s, _, _)| s == sub)
-                .expect("every share has a span row");
+        for (name, ns, spans, pct) in out.table_rows() {
             t.row(vec![
-                sub.to_string(),
+                name,
                 spans.to_string(),
-                format!("{:.3}", *ns as f64 / 1e6),
+                format!("{:.3}", ns as f64 / 1e6),
                 format!("{pct:.1}%"),
             ]);
         }

@@ -45,7 +45,7 @@
 //! | [`autonomic`] | `dcmaint-autonomic` | MAPE-K control plane: windowed monitoring, efficacy posteriors, guardrailed online knob tuning |
 //! | [`scenarios`] | `dcmaint-scenarios` | the engine + experiments E1–E11, sweep orchestration |
 //! | [`serve`] | `dcmaint-serve` | crash-tolerant maintenance-plane daemon: durable job queue, supervised worker, live journal fan-out |
-//! | [`bench`](mod@bench) | `dcmaint-bench` | `BenchReport` perf-artifact schema + the `selfmaint profile` engine self-profiling harness |
+//! | [`bench`](mod@bench) | `dcmaint-bench` | `BenchReport` perf-artifact schema + the harnesses behind `selfmaint profile`, `plan` and `tune` |
 //!
 //! ## Examples (`cargo run --example …`)
 //!

@@ -1,4 +1,5 @@
-//! The engine self-profiling harness behind `selfmaint profile`.
+//! The engine self-profiling harness behind `selfmaint profile` and
+//! the suite's `engine` case.
 //!
 //! Runs one scenario cell per seed with [`dcmaint_obs::ObsConfig`]'s
 //! `profiling` knob on,
@@ -21,7 +22,7 @@ use std::collections::BTreeMap;
 
 use dcmaint_des::{SimDuration, SimTime};
 use dcmaint_obs::prof::{self, Leaf};
-use dcmaint_obs::ObsRegistry;
+use dcmaint_obs::{ObsRegistry, WallProfile};
 use dcmaint_scenarios::{Engine, ScenarioConfig};
 use dcmaint_sweep::derive_seed;
 use maintctl::AutomationLevel;
@@ -85,7 +86,7 @@ impl ProfileParams {
 /// Everything one profiling run produced.
 #[derive(Debug)]
 pub struct ProfileOutcome {
-    /// The standing artifact (deterministic + timing + host subtrees).
+    /// The `engine` case's report (deterministic + timing subtrees).
     pub report: BenchReport,
     /// Merged per-seed registries — all `prof/…` counters.
     pub registry: ObsRegistry,
@@ -100,8 +101,6 @@ pub struct ProfileOutcome {
     pub event_kinds: Vec<(String, u64)>,
     /// Total events dispatched across all seeds. Deterministic.
     pub events: u64,
-    /// Total wall seconds across all seeds. Nondeterministic.
-    pub wall_s: f64,
 }
 
 impl ProfileOutcome {
@@ -143,10 +142,9 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
         let mid = SimTime::ZERO + cfg.duration.mul_f64(0.5);
         let mut eng = Engine::new(cfg);
 
-        // lint:allow(wall-clock): the profiling harness is the
-        // measurement itself; timings land in BENCH_engine.json and
-        // stderr only, never on seeded stdout.
-        let t0 = std::time::Instant::now();
+        let t0 = WallProfile::enabled()
+            .start()
+            .expect("an enabled clock reads");
         eng.run_until(mid);
         // One explicit snapshot + restore per seed so the ckpt
         // encode/decode spans carry real numbers. `profiled_restore`
@@ -196,7 +194,7 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
     event_kinds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let events: u64 = event_kinds.iter().map(|(_, v)| v).sum();
 
-    let mut report = BenchReport::new("engine", &p.scenario_label());
+    let mut report = BenchReport::new(&p.scenario_label());
     for (name, v) in merged.counters_sorted() {
         report.deterministic.insert(name.to_string(), v);
     }
@@ -224,9 +222,6 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
             0.0
         },
     );
-    report
-        .timing
-        .insert("peak-rss-bytes".to_string(), peak_rss_bytes() as f64);
     for (sub, pct) in &shares {
         report.timing.insert(format!("share/{sub}"), *pct);
     }
@@ -238,7 +233,6 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
     report
         .timing
         .insert("span-ns-total".to_string(), total_ns as f64);
-    report.stamp_host();
 
     ProfileOutcome {
         report,
@@ -247,7 +241,6 @@ pub fn run_profile(p: &ProfileParams) -> ProfileOutcome {
         shares,
         event_kinds,
         events,
-        wall_s,
     }
 }
 
@@ -317,10 +310,7 @@ mod tests {
             "span shares sum to {total}, expected ~100"
         );
         assert!(out.report.timing.contains_key("events-per-sec"));
-        assert!(out.report.timing.contains_key("peak-rss-bytes"));
-        for key in ["os", "arch", "cores"] {
-            assert!(out.report.host.contains_key(key), "host.{key} missing");
-        }
+        assert!(out.report.timing.contains_key("wall-per-sim-day-s"));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   leaf read through [`WallProfile`], the one sanctioned wall clock.
 //!   Real-time measurements are inherently nondeterministic, so they
 //!   are quarantined: never mixed into simulated-time output, written
-//!   only to `BENCH_*.json` side files and stderr.
+//!   only to `BENCH.json`, the `profile` table and stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -129,7 +129,8 @@ pub struct ObsReport {
     /// Engine self-profiler wall spans, one [`Leaf`] per
     /// `(subsystem, kind)`, sorted by that pair. Empty unless
     /// [`ObsConfig::profiling`] was on. Nondeterministic: consumed only
-    /// by the `BENCH_*.json` writers, never by seeded output.
+    /// by `selfmaint profile` and `selfmaint bench`, never by seeded
+    /// output.
     pub prof_wall: Vec<Leaf>,
 }
 

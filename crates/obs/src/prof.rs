@@ -23,7 +23,7 @@
 //!   …); the spans that are not events are leaves too: `sched/pop`,
 //!   `twin/plan`, `ckpt/encode` and `ckpt/decode`. A subsystem row is
 //!   the sum of its leaves ([`rows`]). Inherently nondeterministic;
-//!   surfaced only via side files (`BENCH_engine.json`) and stderr,
+//!   surfaced only via `BENCH.json`, the `profile` table and stderr,
 //!   never on any seeded output path.
 //!
 //! When disabled a `Prof` is fully inert: [`Prof::start`] returns `None`

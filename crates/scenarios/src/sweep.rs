@@ -608,10 +608,9 @@ pub fn run_engine_sweep(p: &EngineSweepParams) -> EngineSweepOutcome {
     }
 }
 
-/// Convenience used by tests and the CLI `--bench-sweep` path: a tiny,
-/// deterministic fingerprint of an outcome (table bytes + journal line
-/// count + failure count) for byte-identity comparisons across worker
-/// counts.
+/// Convenience used by tests: a tiny, deterministic fingerprint of an
+/// outcome (table bytes + journal line count + failure count) for
+/// byte-identity comparisons across worker counts.
 pub fn outcome_fingerprint(o: &EngineSweepOutcome) -> String {
     let mut s = o.table.render();
     s.push_str(&format!(

@@ -42,7 +42,6 @@
 
 use dcmaint_des::SimDuration;
 
-pub mod bench;
 pub mod client;
 pub mod fanout;
 pub mod http;
@@ -51,7 +50,6 @@ pub mod server;
 pub mod spec;
 pub mod worker;
 
-pub use bench::run_serve_bench;
 pub use fanout::{Fanout, Poll};
 pub use queue::{Spool, SpoolState};
 pub use server::Server;

@@ -23,8 +23,8 @@
 //!
 //! Worker panics are contained per job ([`JobError`]), never hang the
 //! pool, and render identically at any worker count. Wall-clock scaling
-//! is measured by the CLI's `--bench-sweep`, which writes
-//! `BENCH_sweep.json` off the deterministic stdout.
+//! is measured by the `sweep` case of `selfmaint bench`, off the
+//! deterministic stdout.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,7 +21,7 @@
 //!                  # tree (--incident) and the JSONL journal (--journal)
 //! selfmaint sweep  [--seeds 8] [--jobs 1] [--days 14] [--seed 42]
 //!                  [--level L3|all] [--quick] [--csv] [--obs]
-//!                  [--autonomic] [--journal PATH] [--bench-sweep]
+//!                  [--autonomic] [--journal PATH]
 //!                  [--inject-panic I] [--manifest DIR] [--resume]
 //!                  # --autonomic runs every job with the MAPE-K loop on
 //!                  # (DESIGN §3.16); stdout stays byte-identical for any
@@ -29,51 +29,30 @@
 //!                  # sweep without the flag
 //!                  # seed-replicated level sweep on the work-stealing
 //!                  # pool: mean ±95% CI columns, merged observability,
-//!                  # byte-identical stdout for any --jobs value; wall
-//!                  # scaling to BENCH_sweep.json (--bench-sweep, kept
-//!                  # off stdout). --manifest checkpoints
-//!                  # every finished job to DIR; --resume skips jobs
-//!                  # already present there and the merged output stays
-//!                  # byte-identical to an uninterrupted sweep
+//!                  # byte-identical stdout for any --jobs value.
+//!                  # --manifest checkpoints every finished job to DIR;
+//!                  # --resume skips jobs already present there and the
+//!                  # merged output stays byte-identical to an
+//!                  # uninterrupted sweep
 //! selfmaint profile [--level L3] [--days 14] [--seed 42] [--seeds 1]
-//!                  [--quick] [--json] [--top 8] [--out BENCH_engine.json]
-//!                  [--baseline PATH] [--threshold 20] [--report-only]
+//!                  [--quick] [--top 8]
 //!                  # engine self-profiler: run one E1 scenario cell per
-//!                  # seed with the obs::prof profiler on, print the
+//!                  # seed with the obs::prof profiler on and print the
 //!                  # wall-share table (each subsystem row followed by
-//!                  # its per-event-kind leaves) and the top-K
-//!                  # event-kind counts, and write the standing
-//!                  # BENCH_engine.json artifact (events/sec, wall per
-//!                  # simulated day, peak RSS, span shares, queue
-//!                  # high-water, host metadata). --baseline compares
-//!                  # against a previous artifact and exits 1 when
-//!                  # events/sec regressed more than --threshold percent
-//!                  # (--report-only downgrades that to a warning).
-//!                  # Unlike `run`/`sweep`, profile stdout carries wall
-//!                  # timings and is NOT byte-reproducible; the
-//!                  # deterministic subtree of the artifact is
-//! selfmaint plan   [--level L3] [--days 14] [--seed 42] [--seeds 1]
-//!                  [--horizon-days 7] [--jobs 1] [--full] [--out BENCH_twin.json]
-//!                  # digital-twin planner benchmark (DESIGN §3.14): run
-//!                  # the same cell under the plain degradation ladder
-//!                  # and under twin-guided planning, print the
-//!                  # deterministic ladder-vs-twin comparison (byte-
-//!                  # identical across reruns and --jobs values), and
-//!                  # write BENCH_twin.json — planner accounting in the
-//!                  # deterministic subtree, decisions/sec and mean
-//!                  # decision latency in the timing subtree
-//! selfmaint tune   [--days 14] [--seed 42] [--seeds 1] [--tick-hours 2]
-//!                  [--full] [--json] [--out BENCH_autonomic.json]
-//!                  # autonomic MAPE-K benchmark (DESIGN §3.16): run the
-//!                  # E16 drift cell statically tuned and with the loop
-//!                  # on at the same seeds, print the deterministic
-//!                  # static-vs-autonomic comparison (byte-identical
-//!                  # across reruns), and write BENCH_autonomic.json —
-//!                  # ticks, directives, rollbacks, posterior
-//!                  # convergence, and the availability delta (ppb) in
-//!                  # the deterministic subtree; adaptation
-//!                  # decisions/sec and mean tick latency in the timing
-//!                  # subtree
+//!                  # its per-event-kind leaves), the top-K event-kind
+//!                  # counts, events/sec, wall per simulated day, queue
+//!                  # high-water and peak RSS. Unlike `run`/`sweep`,
+//!                  # this stdout carries wall timings and is NOT
+//!                  # byte-reproducible
+//! selfmaint bench  [--out BENCH.json] [--baseline PATH]
+//!                  # the benchmark suite: five fixed cases (engine,
+//!                  # twin, autonomic, sweep, serve), 5 reps each in one
+//!                  # process, written to one BENCH.json: deterministic
+//!                  # counts (identical in every rep, else exit 1),
+//!                  # median timings and p25/p75 spreads. --baseline
+//!                  # exits 1 on any schema or deterministic difference
+//!                  # and when the engine's median events/sec falls, or
+//!                  # its wall per simulated day rises, more than 50%
 //! selfmaint bisect [--level L3] [--days 12] [--seed 42] [--seed-b S]
 //!                  [--interval-days 2] [--quick] [--out PATH]
 //!                  # divergence bisector: advance two runs checkpoint by
@@ -95,16 +74,14 @@
 //!                  # rationale, example, and suppression syntax
 //! selfmaint serve  [--port 0] [--spool DIR] [--checkpoint-hours 24]
 //!                  [--max-queue 64] [--max-attempts 3]
-//!                  [--job-timeout-ms MS] [--port-file PATH] [--bench]
+//!                  [--job-timeout-ms MS] [--port-file PATH]
 //!                  # crash-tolerant maintenance-plane daemon: POST job
 //!                  # specs to /v1/jobs (durable, fsynced ingress
 //!                  # journal), stream the live obs journal from
 //!                  # /v1/stream, /status + /metrics, POST /v1/shutdown
 //!                  # for a graceful snapshot-and-drain. Worker panics
 //!                  # and kills are recovered from the last checkpoint
-//!                  # with byte-identical outputs; --bench writes
-//!                  # BENCH_serve.json (throughput, streams, recovery
-//!                  # latency) off the deterministic stdout
+//!                  # with byte-identical outputs
 //! ```
 //!
 //! Arguments are parsed by hand — the CLI surface is small and the
@@ -115,10 +92,7 @@
 
 #![forbid(unsafe_code)]
 
-use selfmaint::bench::{
-    run_autonomic_bench, run_profile, run_twin_bench, AutonomicBenchParams, BenchReport,
-    ProfileParams, TwinBenchParams,
-};
+use selfmaint::bench::{gate, peak_rss_bytes, run_profile, run_suite, ProfileParams, Suite, REPS};
 use selfmaint::ckpt::Snapshot;
 use selfmaint::control::{advise, ControllerConfig};
 use selfmaint::metrics::{fnum, nines, Align, Table};
@@ -127,7 +101,7 @@ use selfmaint::scenarios::bisect::bisect;
 use selfmaint::scenarios::cli::{flag, opt, parse_opt_maybe_or_exit, parse_opt_or_exit};
 use selfmaint::scenarios::sweep::{failures_table, run_engine_sweep, EngineSweepParams};
 use selfmaint::scenarios::Engine;
-use selfmaint::serve::{run_serve_bench, ServeConfig, Server};
+use selfmaint::serve::{ServeConfig, Server};
 
 /// One dispatchable subcommand: name, one-line description, handler.
 type Subcommand = (&'static str, &'static str, fn(&[String]));
@@ -164,18 +138,13 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ),
     (
         "profile",
-        "engine self-profiler: span shares, hot counters, BENCH_engine.json",
+        "engine self-profiler: span shares per subsystem and leaf, hot counters",
         cmd_profile,
     ),
     (
-        "plan",
-        "twin planner bench: ladder vs twin-guided, BENCH_twin.json",
-        cmd_plan,
-    ),
-    (
-        "tune",
-        "autonomic MAPE-K bench: static vs adaptive, BENCH_autonomic.json",
-        cmd_tune,
+        "bench",
+        "benchmark suite: five cases × 5 reps, BENCH.json, baseline gate",
+        cmd_bench,
     ),
     (
         "bisect",
@@ -225,32 +194,11 @@ fn cmd_lint(args: &[String]) {
     std::process::exit(dcmaint_lint::run_cli(args));
 }
 
-/// `selfmaint serve`: run the crash-tolerant maintenance-plane daemon
-/// (or its benchmark with `--bench`). All operator chatter goes to
-/// stderr; job outputs live in the spool and are fetched over HTTP, so
-/// nothing here touches the deterministic-stdout contract.
+/// `selfmaint serve`: run the crash-tolerant maintenance-plane daemon.
+/// All operator chatter goes to stderr; job outputs live in the spool
+/// and are fetched over HTTP, so nothing here touches the
+/// deterministic-stdout contract.
 fn cmd_serve(args: &[String]) {
-    if flag(args, "--bench") {
-        let jobs: u64 = parse_opt_or_exit(args, "--bench-jobs", 6);
-        let streams: usize = parse_opt_or_exit(args, "--bench-streams", 8);
-        eprintln!("serve bench: {jobs} jobs, {streams} concurrent streams…");
-        match run_serve_bench(jobs, streams) {
-            Ok(json) => {
-                std::fs::write("BENCH_serve.json", &json).unwrap_or_else(|e| {
-                    eprintln!("cannot write BENCH_serve.json: {e}");
-                    std::process::exit(1);
-                });
-                eprint!("{json}");
-                eprintln!("serve bench written to BENCH_serve.json");
-            }
-            Err(e) => {
-                eprintln!("serve bench failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     let mut cfg = ServeConfig::default();
     cfg.port = parse_opt_or_exit(args, "--port", cfg.port);
     if let Some(dir) = opt(args, "--spool") {
@@ -725,98 +673,16 @@ fn cmd_sweep(args: &[String]) {
         eprintln!("journal: {} lines written to {path}", out.journal.len());
     }
 
-    if flag(args, "--bench-sweep") {
-        bench_sweep(&p);
-    }
     if !out.failures.is_empty() {
         std::process::exit(1);
     }
 }
 
-/// Measure sweep wall-clock scaling at 1/2/4/8 workers and write
-/// `BENCH_sweep.json` (a [`BenchReport`]). The timings are inherently
-/// nondeterministic, so they go to the side file
-/// and stderr only — the deterministic stdout is produced before this
-/// runs. Every worker count runs with the engine self-profiler on; the
-/// per-worker `prof/…` registries fold into one merged profile that
-/// lands in the report's `deterministic` subtree, and both the stdout
-/// bytes and the merged profile are compared across worker counts,
-/// turning the bench into a determinism check as a side effect.
-fn bench_sweep(p: &EngineSweepParams) {
-    let scenario = format!(
-        "{} level(s) × {} seed(s), {}d, seed={}",
-        p.levels.len(),
-        p.seeds,
-        p.days,
-        p.base_seed
-    );
-    let mut report = BenchReport::new("sweep", &scenario);
-    let mut base_wall = 0.0_f64;
-    let mut base_bytes: Option<String> = None;
-    let mut merged: Option<selfmaint::obs::ObsRegistry> = None;
-    let mut identical = true;
-    let mut profile_identical = true;
-    for workers in [1usize, 2, 4, 8] {
-        let mut pw = p.clone();
-        pw.jobs = workers;
-        pw.profiling = true;
-        // lint:allow(wall-clock): --bench-sweep wall timing is measurement-only and lands in BENCH_sweep.json, never on deterministic stdout
-        let t0 = std::time::Instant::now();
-        let out = run_engine_sweep(&pw);
-        let wall = t0.elapsed().as_secs_f64();
-        let bytes = out.table.render();
-        match &base_bytes {
-            None => {
-                base_wall = wall;
-                base_bytes = Some(bytes);
-            }
-            Some(b) => identical &= *b == bytes,
-        }
-        let profile = out.registry.expect("profiling was on");
-        match &merged {
-            None => merged = Some(profile),
-            Some(first) => {
-                profile_identical &= first.snapshot_lines() == profile.snapshot_lines();
-            }
-        }
-        let speedup = if wall > 0.0 { base_wall / wall } else { 0.0 };
-        eprintln!("  {workers} worker(s): {wall:.3}s wall ({speedup:.2}x vs 1)");
-        report.timing.insert(format!("wall-s/{workers}"), wall);
-        report.timing.insert(format!("speedup/{workers}"), speedup);
-    }
-    for (name, v) in merged.expect("at least one run").counters_sorted() {
-        report.deterministic.insert(name.to_string(), v);
-    }
-    report
-        .deterministic
-        .insert("jobs-identical-stdout".to_string(), u64::from(identical));
-    report.deterministic.insert(
-        "profile-identical".to_string(),
-        u64::from(profile_identical),
-    );
-    report.stamp_host();
-    std::fs::write("BENCH_sweep.json", report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write BENCH_sweep.json: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wall-clock scaling + merged profile written to BENCH_sweep.json");
-    if !identical {
-        eprintln!("DETERMINISM VIOLATION: stdout bytes differ across worker counts");
-        std::process::exit(1);
-    }
-    if !profile_identical {
-        eprintln!("DETERMINISM VIOLATION: merged profile differs across worker counts");
-        std::process::exit(1);
-    }
-}
-
 /// `selfmaint profile`: the engine self-profiler. Runs one E1 scenario
-/// cell per seed with `obs::prof` on, prints the wall-share table (each
-/// subsystem row followed by its leaves, indented) and top-K event-kind
-/// counts, and writes the standing
-/// `BENCH_engine.json` artifact. Unlike `run`/`sweep`, stdout here
-/// carries wall timings and is *not* byte-reproducible; the artifact's
-/// `deterministic` subtree is, and CI diffs exactly that.
+/// cell per seed with `obs::prof` on and prints the wall-share table
+/// (each subsystem row followed by its leaves, indented) and the top-K
+/// event-kind counts. Unlike `run`/`sweep`, stdout here carries wall
+/// timings and is *not* byte-reproducible.
 fn cmd_profile(args: &[String]) {
     let p = ProfileParams {
         level: parse_level(opt(args, "--level").unwrap_or("L3")),
@@ -830,328 +696,130 @@ fn cmd_profile(args: &[String]) {
         std::process::exit(2);
     }
     let top: usize = parse_opt_or_exit(args, "--top", 8);
-    let out_path = opt(args, "--out")
-        .unwrap_or("BENCH_engine.json")
-        .to_string();
 
     eprintln!("profiling {}…", p.scenario_label());
     let out = run_profile(&p);
     let report = &out.report;
-
-    if flag(args, "--json") {
-        print!("{}", report.to_json());
-    } else {
-        let mut t = Table::new(
-            &format!("engine profile — {}", p.scenario_label()),
-            &[
-                ("subsystem", Align::Left),
-                ("spans", Align::Right),
-                ("wall ms", Align::Right),
-                ("share", Align::Right),
-            ],
-        );
-        for (name, ns, spans, pct) in out.table_rows() {
-            t.row(vec![
-                name,
-                spans.to_string(),
-                format!("{:.3}", ns as f64 / 1e6),
-                format!("{pct:.1}%"),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        let mut ev = Table::new(
-            &format!("event kinds (top {top} of {})", out.event_kinds.len()),
-            &[("event", Align::Left), ("count", Align::Right)],
-        );
-        for (kind, n) in out.event_kinds.iter().take(top) {
-            ev.row(vec![kind.clone(), n.to_string()]);
-        }
-        print!("{}", ev.render());
-        println!();
-        println!(
-            "events: {}   events/sec: {:.0}   wall/sim-day: {:.3}s   \
-             queue high-water: {}   peak RSS: {:.1} MiB",
-            out.events,
-            report.timing["events-per-sec"],
-            report.timing["wall-per-sim-day-s"],
-            report.deterministic["queue-high-water"],
-            report.timing["peak-rss-bytes"] / (1024.0 * 1024.0),
-        );
-    }
-
-    std::fs::write(&out_path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("engine profile written to {out_path}");
-
-    if let Some(base_path) = opt(args, "--baseline") {
-        let threshold: f64 = parse_opt_or_exit(args, "--threshold", 20.0);
-        compare_baseline(report, base_path, threshold, flag(args, "--report-only"));
-    }
-}
-
-/// The twin planner benchmark: the same cell under the plain ladder and
-/// under twin-guided planning (DESIGN §3.14). The comparison table on
-/// stdout is built only from the report's `deterministic` subtree, so
-/// it is byte-identical across reruns and `--jobs` values; wall-clock
-/// planner throughput goes to stderr and `BENCH_twin.json`.
-fn cmd_plan(args: &[String]) {
-    let p = TwinBenchParams {
-        level: parse_level(opt(args, "--level").unwrap_or("L3")),
-        days: parse_opt_or_exit(args, "--days", 14),
-        base_seed: parse_opt_or_exit(args, "--seed", 42),
-        seeds: parse_opt_or_exit(args, "--seeds", 1),
-        horizon_days: parse_opt_or_exit(args, "--horizon-days", 7),
-        jobs: parse_opt_or_exit(args, "--jobs", 1),
-        quick: !flag(args, "--full"),
-    };
-    if p.seeds == 0 || p.days == 0 || p.horizon_days == 0 {
-        eprintln!("--seeds, --days and --horizon-days must be at least 1");
-        std::process::exit(2);
-    }
-    if p.jobs == 0 {
-        eprintln!("--jobs must be at least 1");
-        std::process::exit(2);
-    }
-    let out_path = opt(args, "--out").unwrap_or("BENCH_twin.json").to_string();
-
-    eprintln!("twin planner bench {}…", p.scenario_label());
-    let out = run_twin_bench(&p);
-    let report = &out.report;
-
-    if flag(args, "--json") {
-        print!("{}", report.to_json());
-    } else {
-        let det = &report.deterministic;
-        let mut t = Table::new(
-            &format!("twin planner vs ladder — {}", p.scenario_label()),
-            &[("metric", Align::Left), ("value", Align::Right)],
-        );
-        t.row(vec![
-            "ladder availability".into(),
-            fnum(out.ladder_availability, 6),
-        ]);
-        t.row(vec![
-            "twin availability".into(),
-            fnum(out.twin_availability, 6),
-        ]);
-        t.row(vec![
-            "delta (ppb)".into(),
-            format!(
-                "{:+}",
-                det["twin-availability-ppb"] as i64 - det["ladder-availability-ppb"] as i64
-            ),
-        ]);
-        t.row(vec![
-            "predicted availability".into(),
-            format!("{} ppb", det["predicted-availability-ppb"]),
-        ]);
-        t.row(vec!["decisions".into(), out.decisions.to_string()]);
-        t.row(vec!["forks".into(), out.forks.to_string()]);
-        t.row(vec!["committed".into(), out.committed.to_string()]);
-        t.row(vec!["seeds".into(), det["seeds"].to_string()]);
-        print!("{}", t.render());
-    }
-
-    eprintln!(
-        "wall: {:.2}s   twin spans: {:.2}s   decisions/sec: {:.1}   \
-         mean decision latency: {:.1}ms",
-        out.wall_s,
-        report.timing["twin-span-s"],
-        report.timing["decisions-per-sec"],
-        report.timing["mean-decision-latency-s"] * 1e3,
-    );
-
-    std::fs::write(&out_path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("twin planner bench written to {out_path}");
-}
-
-/// The autonomic MAPE-K benchmark: the E16 drift cell under a static
-/// policy and under the loop (DESIGN §3.16). The comparison table on
-/// stdout is built only from the report's `deterministic` subtree, so
-/// it is byte-identical across reruns; adaptation throughput goes to
-/// stderr and `BENCH_autonomic.json`.
-fn cmd_tune(args: &[String]) {
-    let p = AutonomicBenchParams {
-        level: parse_level(opt(args, "--level").unwrap_or("L3")),
-        days: parse_opt_or_exit(args, "--days", 14),
-        base_seed: parse_opt_or_exit(args, "--seed", 42),
-        seeds: parse_opt_or_exit(args, "--seeds", 1),
-        tick_hours: parse_opt_or_exit(args, "--tick-hours", 2),
-        quick: !flag(args, "--full"),
-    };
-    if p.seeds == 0 || p.days == 0 || p.tick_hours == 0 {
-        eprintln!("--seeds, --days and --tick-hours must be at least 1");
-        std::process::exit(2);
-    }
-    let out_path = opt(args, "--out")
-        .unwrap_or("BENCH_autonomic.json")
-        .to_string();
-
-    eprintln!("autonomic bench {}…", p.scenario_label());
-    let out = run_autonomic_bench(&p);
-    let report = &out.report;
-
-    if flag(args, "--json") {
-        print!("{}", report.to_json());
-    } else {
-        let det = &report.deterministic;
-        let mut t = Table::new(
-            &format!("autonomic loop vs static tuning — {}", p.scenario_label()),
-            &[("metric", Align::Left), ("value", Align::Right)],
-        );
-        t.row(vec![
-            "static availability".into(),
-            fnum(out.static_availability, 6),
-        ]);
-        t.row(vec![
-            "autonomic availability".into(),
-            fnum(out.autonomic_availability, 6),
-        ]);
-        t.row(vec![
-            "delta (ppb)".into(),
-            format!(
-                "{:+}",
-                det["autonomic-availability-ppb"] as i64 - det["static-availability-ppb"] as i64
-            ),
-        ]);
-        t.row(vec!["ticks".into(), out.ticks.to_string()]);
-        t.row(vec!["decisions".into(), det["decisions"].to_string()]);
-        t.row(vec!["applied".into(), out.applied.to_string()]);
-        t.row(vec!["rollbacks".into(), out.rollbacks.to_string()]);
-        t.row(vec![
-            "cap fallbacks".into(),
-            det["cap-fallbacks"].to_string(),
-        ]);
-        t.row(vec![
-            "posteriors converged".into(),
-            format!("{}/{}", out.posteriors.0, out.posteriors.1),
-        ]);
-        t.row(vec!["seeds".into(), det["seeds"].to_string()]);
-        print!("{}", t.render());
-    }
-
-    eprintln!(
-        "wall: {:.2}s   autonomic spans: {:.3}s   decisions/sec: {:.1}   \
-         mean tick latency: {:.2}ms",
-        out.wall_s,
-        report.timing["autonomic-span-s"],
-        report.timing["decisions-per-sec"],
-        report.timing["mean-tick-latency-s"] * 1e3,
-    );
-
-    std::fs::write(&out_path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("autonomic bench written to {out_path}");
-}
-
-/// The `--baseline` compare mode: delta table against a previous
-/// `BENCH_engine.json`, exit 1 past the regression threshold unless
-/// `--report-only`. CI enforces this gate with a generous explicit
-/// `--threshold` (shared runners are noisy relative to the machine that
-/// wrote the baseline, so it catches order-of-magnitude regressions,
-/// not jitter); `--report-only` remains for local what-if comparisons.
-fn compare_baseline(current: &BenchReport, path: &str, threshold: f64, report_only: bool) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(1);
-    });
-    let base = BenchReport::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("baseline {path} is not a BenchReport: {e}");
-        std::process::exit(1);
-    });
-    if base.schema != current.schema {
-        eprintln!(
-            "baseline schema v{} != current v{} — deltas may be meaningless",
-            base.schema, current.schema
-        );
-    }
-    if base.scenario != current.scenario {
-        eprintln!(
-            "baseline ran {:?}, current ran {:?} — comparing different scenarios",
-            base.scenario, current.scenario
-        );
-    }
-
     let mut t = Table::new(
-        &format!("vs baseline {path}"),
+        &format!("engine profile — {}", p.scenario_label()),
         &[
-            ("metric", Align::Left),
-            ("baseline", Align::Right),
-            ("current", Align::Right),
-            ("delta", Align::Right),
+            ("subsystem", Align::Left),
+            ("spans", Align::Right),
+            ("wall ms", Align::Right),
+            ("share", Align::Right),
         ],
     );
-    let mut regressions = Vec::new();
-    // (key, higher-is-better, gates-the-exit). RSS is informational:
-    // allocator noise makes it a bad gate.
-    for (key, higher_is_better, gates) in [
-        ("events-per-sec", true, true),
-        ("wall-per-sim-day-s", false, true),
-        ("peak-rss-bytes", false, false),
-    ] {
-        let (Some(b), Some(c)) = (base.timing.get(key), current.timing.get(key)) else {
-            continue;
-        };
-        if *b <= 0.0 {
-            continue;
-        }
-        let delta_pct = 100.0 * (c - b) / b;
+    for (name, ns, spans, pct) in out.table_rows() {
         t.row(vec![
-            key.to_string(),
-            format!("{b:.1}"),
-            format!("{c:.1}"),
-            format!("{delta_pct:+.1}%"),
+            name,
+            spans.to_string(),
+            format!("{:.3}", ns as f64 / 1e6),
+            format!("{pct:.1}%"),
         ]);
-        let regressed = if higher_is_better {
-            delta_pct < -threshold
-        } else {
-            delta_pct > threshold
-        };
-        if gates && regressed {
-            regressions.push(format!("{key} {delta_pct:+.1}%"));
+    }
+    print!("{}", t.render());
+    println!();
+    let mut ev = Table::new(
+        &format!("event kinds (top {top} of {})", out.event_kinds.len()),
+        &[("event", Align::Left), ("count", Align::Right)],
+    );
+    for (kind, n) in out.event_kinds.iter().take(top) {
+        ev.row(vec![kind.clone(), n.to_string()]);
+    }
+    print!("{}", ev.render());
+    println!();
+    println!(
+        "events: {}   events/sec: {:.0}   wall/sim-day: {:.3}s   \
+         queue high-water: {}   peak RSS: {:.1} MiB",
+        out.events,
+        report.timing["events-per-sec"],
+        report.timing["wall-per-sim-day-s"],
+        report.deterministic["queue-high-water"],
+        peak_rss_bytes() as f64 / (1024.0 * 1024.0),
+    );
+}
+
+/// `selfmaint bench`: run the suite's five cases [`REPS`] times each,
+/// print each case's end-to-end medians and spreads, and write the
+/// suite to `--out` (default `BENCH.json`). With `--baseline`, exit 1
+/// naming every problem the gate finds. Like `profile`, stdout carries
+/// wall timings and is not byte-reproducible.
+fn cmd_bench(args: &[String]) {
+    let out_path = opt(args, "--out").unwrap_or("BENCH.json");
+    // Read the baseline first, so a bad path fails before the suite runs.
+    let baseline = opt(args, "--baseline").map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("cannot read baseline {path}: {e}");
+            std::process::exit(1);
+        });
+        Suite::from_json(&text).unwrap_or_else(|e| {
+            eprintln!("baseline {path} is not a BENCH.json suite: {e}");
+            std::process::exit(1);
+        })
+    });
+
+    eprintln!("bench: {REPS} reps per case…");
+    let suite = run_suite(|name| eprintln!("  {name}")).unwrap_or_else(|e| {
+        eprintln!("bench failed: {e}");
+        std::process::exit(1);
+    });
+    let mut t = Table::new(
+        &format!("bench — end-to-end medians of {REPS} reps"),
+        &[
+            ("case", Align::Left),
+            ("metric", Align::Left),
+            ("median", Align::Right),
+            ("p25", Align::Right),
+            ("p75", Align::Right),
+            ("baseline", Align::Right),
+        ],
+    );
+    for (name, case) in &suite.cases {
+        for key in case.spread.keys().filter_map(|k| k.strip_suffix("/p25")) {
+            let base = baseline
+                .as_ref()
+                .and_then(|b| b.cases.get(name)?.timing.get(key).copied());
+            t.row(vec![
+                name.clone(),
+                key.to_string(),
+                sig(case.timing[key]),
+                sig(case.spread[&format!("{key}/p25")]),
+                sig(case.spread[&format!("{key}/p75")]),
+                base.map_or_else(|| "-".to_string(), sig),
+            ]);
         }
     }
     print!("{}", t.render());
+    println!(
+        "peak RSS: {:.1} MiB",
+        suite.peak_rss_bytes as f64 / (1024.0 * 1024.0)
+    );
+    std::fs::write(out_path, suite.to_json()).unwrap_or_else(|e| {
+        eprintln!("cannot write {out_path}: {e}");
+        std::process::exit(1);
+    });
+    eprintln!("bench suite written to {out_path}");
 
-    let drifted: Vec<&String> = base
-        .deterministic
-        .keys()
-        .chain(current.deterministic.keys())
-        .filter(|k| base.deterministic.get(*k) != current.deterministic.get(*k))
-        .collect();
-    if drifted.is_empty() {
-        eprintln!("deterministic fields match the baseline exactly");
-    } else {
-        eprintln!(
-            "{} deterministic field(s) differ from the baseline (different \
-             scenario/seed, or a behavior change): {}",
-            drifted.len(),
-            drifted
-                .iter()
-                .take(6)
-                .map(|s| s.as_str())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    }
-
-    if !regressions.is_empty() {
-        let what = regressions.join(", ");
-        if report_only {
-            eprintln!("REGRESSION past {threshold}% (report-only): {what}");
-        } else {
-            eprintln!("REGRESSION past {threshold}%: {what}");
+    if let Some(base) = &baseline {
+        let problems = gate(&suite, base);
+        for p in &problems {
+            eprintln!("GATE: {p}");
+        }
+        if !problems.is_empty() {
             std::process::exit(1);
         }
+        eprintln!("baseline gate: pass");
     }
+}
+
+/// `v` to four significant digits.
+fn sig(v: f64) -> String {
+    let magnitude = if v == 0.0 {
+        0
+    } else {
+        v.abs().log10().floor() as i64
+    };
+    format!("{v:.*}", (3 - magnitude).clamp(0, 9) as usize)
 }
 
 fn cmd_bisect(args: &[String]) {
@@ -1251,8 +919,8 @@ mod tests {
         assert_eq!(
             names,
             [
-                "run", "advise", "topo", "levels", "trace", "sweep", "profile", "plan", "tune",
-                "bisect", "lint", "serve"
+                "run", "advise", "topo", "levels", "trace", "sweep", "profile", "bench", "bisect",
+                "lint", "serve"
             ],
             "subcommand surface changed — update this test and the crate docs"
         );

@@ -45,7 +45,7 @@
 //! | [`autonomic`] | `dcmaint-autonomic` | MAPE-K control plane: windowed monitoring, efficacy posteriors, guardrailed online knob tuning |
 //! | [`scenarios`] | `dcmaint-scenarios` | the engine + experiments E1–E11, sweep orchestration |
 //! | [`serve`] | `dcmaint-serve` | crash-tolerant maintenance-plane daemon: durable job queue, supervised worker, live journal fan-out |
-//! | [`bench`](mod@bench) | `dcmaint-bench` | `BenchReport` perf-artifact schema + the harnesses behind `selfmaint profile`, `plan` and `tune` |
+//! | [`bench`](mod@bench) | `dcmaint-bench` | the `selfmaint bench` suite (five cases, `BENCH.json` schema, baseline gate) and the engine profiler behind `selfmaint profile` |
 //!
 //! ## Examples (`cargo run --example …`)
 //!

@@ -30,7 +30,6 @@
 //! the monitor's cursor baselines — snapshots through `ckpt` so
 //! restore ≡ continuous holds with the loop running.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

@@ -28,8 +28,6 @@
 //! workloads are measured from outside the program by the separate
 //! `dcbench` package (`dcbench/`, see `BENCHMARK.json`).
 
-#![forbid(unsafe_code)]
-
 pub mod cases;
 pub mod profile;
 pub mod report;

@@ -31,8 +31,6 @@
 //! migrated — a snapshot is a cache of a reproducible computation, so
 //! the upgrade path is "re-run from the config", not a migration tool.
 
-#![forbid(unsafe_code)]
-
 mod persist;
 
 pub use persist::{fixed_len, gated, unprefixed, Decode, Persist};

@@ -211,7 +211,7 @@ impl<T: Decode + Copy + Default, const N: usize> Decode for [T; N] {
 macro_rules! tuple {
     ($($t:ident),+) => {
         impl<$($t: Decode),+> Persist for ($($t,)+) {
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple's type parameters name its elements")]
             fn save(&self, enc: &mut Enc) {
                 let ($($t,)+) = self;
                 $($t.save(enc);)+

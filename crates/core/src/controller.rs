@@ -12,20 +12,21 @@
 //!
 //! The execution loop (in `dcmaint-scenarios`) asks, per ticket:
 //!
-//! 1. [`MaintenanceController::plan_repair`] — which rung of the §3.2
-//!    ladder, who executes it (level-dependent), and the drain decision
-//!    with its pre-contact announcement;
+//! 1. [`MaintenanceController::decide_action`] and
+//!    [`MaintenanceController::executor_for`] — which rung of the §3.2
+//!    ladder and who executes it (level-dependent); the loop then calls
+//!    [`crate::drain::plan`] for the drain decision with its pre-contact
+//!    announcement;
 //! 2. after physical work: release the drain, verify, close or
 //!    re-escalate;
 //! 3. periodically: [`MaintenanceController::proactive_mut`] campaigns
 //!    and [`MaintenanceController::predictor_mut`] scoring (L3+ only).
 
-use dcmaint_dcnet::{CableMedium, LinkId, NetState, NodeId, Topology};
+use dcmaint_dcnet::CableMedium;
 use dcmaint_des::SimDuration;
 use dcmaint_faults::RepairAction;
-use dcmaint_obs::{JVal, Journal};
 
-use crate::drain::{self, DrainConfig, DrainDecision};
+use crate::drain::DrainConfig;
 use crate::escalate::{EscalationConfig, EscalationEngine};
 use crate::levels::{AutomationLevel, Executor};
 use crate::predict::Predictor;
@@ -102,17 +103,6 @@ impl ControllerConfig {
     }
 }
 
-/// A complete repair plan for one ticket.
-#[derive(Debug, Clone)]
-pub struct RepairPlan {
-    /// Ladder rung chosen.
-    pub action: RepairAction,
-    /// Who executes.
-    pub executor: Executor,
-    /// Drain decision (with the pre-contact announcement on Proceed).
-    pub drain: DrainDecision,
-}
-
 /// The controller. See the [module docs](self).
 #[derive(Debug)]
 pub struct MaintenanceController {
@@ -120,7 +110,6 @@ pub struct MaintenanceController {
     escalation: EscalationEngine,
     proactive: Option<ProactivePlanner>,
     predictor: Option<Predictor>,
-    journal: Journal,
 }
 
 // The proactive/predictive presence follows the config, so a restore
@@ -131,7 +120,6 @@ dcmaint_ckpt::persist!(MaintenanceController {
 } skip {
     cfg: "rebuilt from the scenario's ControllerConfig",
     escalation: "stateless policy derived from the config",
-    journal: "event sink; the engine attaches its own",
 });
 
 impl MaintenanceController {
@@ -153,14 +141,7 @@ impl MaintenanceController {
             escalation,
             proactive,
             predictor,
-            journal: Journal::disabled(),
         }
-    }
-
-    /// Attach an event journal; repair-plan decisions are emitted into
-    /// it. Disabled by default (zero cost on the planning path).
-    pub fn set_journal(&mut self, journal: Journal) {
-        self.journal = journal;
     }
 
     /// Configuration.
@@ -187,52 +168,6 @@ impl MaintenanceController {
     /// Who executes a given action at this level.
     pub fn executor_for(&self, action: RepairAction) -> Executor {
         self.cfg.level.executor_for(action)
-    }
-
-    /// Produce the full plan for one ticket: action, executor, drain.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_repair(
-        &self,
-        topo: &Topology,
-        state: &NetState,
-        link: LinkId,
-        recent: &[RepairAction],
-        expected_duration: SimDuration,
-        service_pairs: &[(NodeId, NodeId)],
-    ) -> RepairPlan {
-        let medium = topo.link(link).cable.medium;
-        let action = self.decide_action(medium, recent);
-        let executor = self.executor_for(action);
-        let clumsy = matches!(executor, Executor::Human | Executor::HumanWithDevice);
-        let drain = drain::plan(
-            &self.cfg.drain,
-            topo,
-            state,
-            link,
-            clumsy,
-            expected_duration,
-            service_pairs,
-        );
-        self.journal.emit(
-            "plan",
-            &[
-                ("link", JVal::U(link.key())),
-                ("action", JVal::S(action.label())),
-                ("executor", JVal::S(executor.label())),
-                (
-                    "drain",
-                    JVal::S(match &drain {
-                        DrainDecision::Proceed(_) => "proceed",
-                        DrainDecision::Defer { .. } => "defer",
-                    }),
-                ),
-            ],
-        );
-        RepairPlan {
-            action,
-            executor,
-            drain,
-        }
     }
 
     /// The proactive planner, if this level runs one.
@@ -262,8 +197,9 @@ impl MaintenanceController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drain::{self, DrainDecision};
     use dcmaint_dcnet::gen::leaf_spine;
-    use dcmaint_dcnet::DiversityProfile;
+    use dcmaint_dcnet::{DiversityProfile, LinkId, NetState, NodeId, Topology};
     use dcmaint_des::SimRng;
 
     fn setup() -> (Topology, NetState, Vec<(NodeId, NodeId)>) {
@@ -290,14 +226,36 @@ mod tests {
             .unwrap()
     }
 
+    /// The calls the engine's dispatch makes for one ticket: the ladder
+    /// rung, who executes it, and the drain decision.
+    fn plan(
+        c: &MaintenanceController,
+        (t, s, pairs): &(Topology, NetState, Vec<(NodeId, NodeId)>),
+        link: LinkId,
+        recent: &[RepairAction],
+        expected: SimDuration,
+    ) -> (RepairAction, Executor, DrainDecision) {
+        let action = c.decide_action(t.link(link).cable.medium, recent);
+        let executor = c.executor_for(action);
+        let clumsy = matches!(executor, Executor::Human | Executor::HumanWithDevice);
+        let drain = drain::plan(&c.config().drain, t, s, link, clumsy, expected, pairs);
+        (action, executor, drain)
+    }
+
     #[test]
     fn l0_plans_human_repairs_with_wide_drains() {
-        let (t, s, pairs) = setup();
+        let world = setup();
         let c = MaintenanceController::new(ControllerConfig::at_level(AutomationLevel::L0));
-        let plan = c.plan_repair(&t, &s, uplink(&t), &[], SimDuration::from_hours(1), &pairs);
-        assert_eq!(plan.action, RepairAction::Reseat);
-        assert_eq!(plan.executor, Executor::Human);
-        match plan.drain {
+        let (action, executor, drain) = plan(
+            &c,
+            &world,
+            uplink(&world.0),
+            &[],
+            SimDuration::from_hours(1),
+        );
+        assert_eq!(action, RepairAction::Reseat);
+        assert_eq!(executor, Executor::Human);
+        match drain {
             DrainDecision::Proceed(ann) => assert!(ann.drained.len() > 1),
             DrainDecision::Defer { .. } => panic!("redundant uplink must proceed"),
         }
@@ -305,13 +263,14 @@ mod tests {
 
     #[test]
     fn l3_plans_robot_repairs_with_narrow_drains() {
-        let (t, s, pairs) = setup();
+        let world = setup();
         let c = MaintenanceController::new(ControllerConfig::at_level(AutomationLevel::L3));
-        let plan = c.plan_repair(&t, &s, uplink(&t), &[], SimDuration::from_mins(3), &pairs);
-        assert_eq!(plan.executor, Executor::AutonomousRobot);
-        match plan.drain {
+        let up = uplink(&world.0);
+        let (_, executor, drain) = plan(&c, &world, up, &[], SimDuration::from_mins(3));
+        assert_eq!(executor, Executor::AutonomousRobot);
+        match drain {
             DrainDecision::Proceed(ann) => {
-                assert_eq!(ann.drained, vec![uplink(&t)], "robot: target only")
+                assert_eq!(ann.drained, vec![up], "robot: target only")
             }
             DrainDecision::Defer { .. } => panic!("must proceed"),
         }
@@ -344,7 +303,8 @@ mod tests {
 
     #[test]
     fn escalation_follows_history() {
-        let (t, s, pairs) = setup();
+        let world = setup();
+        let t = &world.0;
         let c = MaintenanceController::new(ControllerConfig::at_level(AutomationLevel::L3));
         let recent = vec![RepairAction::Reseat, RepairAction::Reseat];
         // Separable (long MPO) uplink: cleaning is the next rung.
@@ -352,8 +312,8 @@ mod tests {
             .link_ids()
             .find(|&l| t.link(l).cable.medium.is_separable())
         {
-            let plan = c.plan_repair(&t, &s, l, &recent, SimDuration::from_mins(5), &pairs);
-            assert_eq!(plan.action, RepairAction::CleanEndFace);
+            let (action, _, _) = plan(&c, &world, l, &recent, SimDuration::from_mins(5));
+            assert_eq!(action, RepairAction::CleanEndFace);
         }
         // Integrated (AOC) uplink: the ladder skips cleaning and the
         // transceiver swap, going straight to cable replacement.
@@ -364,8 +324,8 @@ mod tests {
                 m.is_optical() && !m.is_separable()
             })
             .expect("small leaf-spine has AOC uplinks");
-        let plan = c.plan_repair(&t, &s, aoc, &recent, SimDuration::from_mins(5), &pairs);
-        assert_eq!(plan.action, RepairAction::ReplaceCable);
+        let (action, _, _) = plan(&c, &world, aoc, &recent, SimDuration::from_mins(5));
+        assert_eq!(action, RepairAction::ReplaceCable);
     }
 
     #[test]

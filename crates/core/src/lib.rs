@@ -25,15 +25,14 @@
 //! * [`verify`] — window-of-vulnerability what-if checking (the §4
 //!   network-verification thread): single-fault exposure and path
 //!   diversity under a proposed drain;
-//! * [`controller`] — the façade composing all of the above into
-//!   per-ticket [`RepairPlan`]s.
+//! * [`controller`] — the façade composing the ladder, the level's
+//!   executor choice and the proactive and predictive loops.
 //!
 //! The controller is pure decision logic — the event loop lives in
 //! `dcmaint-scenarios`. That split keeps every policy choice
 //! deterministic and unit-testable, and means automation levels are a
 //! *configuration*, so experiment E1's level sweep is a true ablation.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;
@@ -47,7 +46,7 @@ pub mod recovery;
 pub mod safety;
 pub mod verify;
 
-pub use controller::{ControllerConfig, MaintenanceController, PredictiveConfig, RepairPlan};
+pub use controller::{ControllerConfig, MaintenanceController, PredictiveConfig};
 pub use drain::{DrainConfig, DrainDecision, PreContactAnnouncement};
 pub use escalate::{EscalationConfig, EscalationEngine};
 pub use levels::{AutomationLevel, Executor};

@@ -306,7 +306,7 @@ fn random_regular_graph(n: usize, r: usize, rng: &SimRng) -> Vec<(usize, usize)>
 mod tests {
     use super::*;
     use crate::ids::NodeId;
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::{BTreeSet, VecDeque};
 
     fn degree_of(t: &Topology, n: NodeId) -> usize {
         t.neighbors(n).len()
@@ -316,7 +316,7 @@ mod tests {
         if t.node_count() == 0 {
             return true;
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         let mut q = VecDeque::new();
         q.push_back(NodeId(0));
         seen.insert(NodeId(0));
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn jellyfish_no_self_or_parallel_switch_edges() {
         let t = jellyfish(16, 5, 0, DiversityProfile::standardized(), &SimRng::root(4));
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for l in t.link_ids() {
             let (a, b) = t.endpoints(l);
             assert_ne!(a, b, "self loop");

@@ -289,7 +289,7 @@ mod tests {
     fn segment_ids_unique_and_in_range() {
         let h = hall();
         let count = h.tray_segment_count();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for row in 0..h.rows {
             for col in 0..h.racks_per_row - 1 {
                 let s = h.along_seg(row, col);

@@ -44,7 +44,6 @@
 //! assert!(connected(&topo, &state, servers[0], servers[7]));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod components;

@@ -200,7 +200,7 @@ mod tests {
     fn different_flow_keys_spread_over_ecmp() {
         let (t, s) = ls();
         let servers = t.servers();
-        let paths: std::collections::HashSet<Vec<LinkId>> = (0..32)
+        let paths: std::collections::BTreeSet<Vec<LinkId>> = (0..32)
             .map(|k| ecmp_path(&t, &s, servers[0], servers[4], k).unwrap())
             .collect();
         // 2 spines → at least 2 distinct paths should appear over 32 keys.

@@ -16,7 +16,7 @@ use crate::time::SimDuration;
 
 /// A parameterized distribution over non-negative reals.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // variant parameter names are standard notation
+#[expect(missing_docs, reason = "variant parameter names are standard notation")]
 pub enum Dist {
     /// Always `value`. Useful for pinning timings in tests.
     Constant(f64),
@@ -169,7 +169,11 @@ fn standard_normal(rng: &mut Stream) -> f64 {
 /// what the Weibull mean needs.
 fn gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision, clippy::inconsistent_digit_grouping)]
+    #[expect(
+        clippy::excessive_precision,
+        clippy::inconsistent_digit_grouping,
+        reason = "the Lanczos coefficients exactly as published"
+    )]
     const C: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

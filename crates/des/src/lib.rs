@@ -51,7 +51,6 @@
 //! assert!(failures > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dist;

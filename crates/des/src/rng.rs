@@ -24,6 +24,10 @@
 //! SplitMix64 finalizer — cheap, stable across platforms and rustc versions
 //! (unlike `DefaultHasher`, which is explicitly unstable).
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one generator behind every Stream; nothing else names it"
+)]
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -77,8 +81,13 @@ impl SimRng {
             x = splitmix64(x);
             chunk.copy_from_slice(&x.to_le_bytes());
         }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "SimRng::stream is the one place a generator is seeded"
+        )]
+        let inner = SmallRng::from_seed(bytes);
         Stream {
-            inner: SmallRng::from_seed(bytes),
+            inner,
             label: label.to_owned(),
             index,
             draws: 0,
@@ -182,8 +191,29 @@ impl dcmaint_ckpt::Persist for Stream {
 /// `(label, index, draws)` — which is how checkpoints record it: restore
 /// reconstructs the stream from `(label, index)` and fast-forwards it by
 /// `draws` (see [`Stream::fast_forward_to`]).
+///
+/// The fields are private and [`SimRng::stream`] is the only
+/// constructor, so every draw in every crate is on a named, counted
+/// stream. Code outside this crate cannot wrap a generator of its own:
+///
+/// ```compile_fail,E0451
+/// use dcmaint_des::Stream;
+/// use rand::SeedableRng;
+///
+/// let mut ad_hoc = Stream {
+///     inner: rand::rngs::SmallRng::from_seed([7; 32]),
+///     label: "ad-hoc".to_string(),
+///     index: 0,
+///     draws: 0,
+/// };
+/// let _ = ad_hoc.uniform();
+/// ```
 #[derive(Debug, Clone)]
 pub struct Stream {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "private: every draw goes through Stream's counted methods"
+    )]
     inner: SmallRng,
     label: String,
     index: u64,

@@ -203,7 +203,7 @@ mod tests {
         let t = topo();
         let mut rng = SimRng::root(3).stream("disturb", 0);
         let target = LinkId(0);
-        let neighbors: std::collections::HashSet<_> =
+        let neighbors: std::collections::BTreeSet<_> =
             t.disturb_neighbors(target).iter().copied().collect();
         for _ in 0..100 {
             for e in disturb(&t, target, &ActorProfile::human(), &mut rng) {

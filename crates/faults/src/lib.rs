@@ -36,7 +36,6 @@
 //! let _ = fixed;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cause;

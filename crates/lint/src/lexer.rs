@@ -1,7 +1,7 @@
 //! Comment/string-aware source scanner.
 //!
-//! The rules must never fire on the word `HashMap` inside a doc
-//! comment or a string literal, so before any pattern matching the
+//! The rules must never see a `.lock()` call or an `Ev` variant inside
+//! a doc comment or a string literal, so before any pattern matching the
 //! source is *blanked*: every byte inside a comment or a string/char
 //! literal is replaced with a space (newlines are kept, so byte
 //! offsets and line numbers survive). Rules then match against pure

@@ -16,8 +16,6 @@ pub struct Outcome {
     pub files: usize,
     /// Findings silenced by inline `lint:allow`s.
     pub suppressed: usize,
-    /// Findings absorbed by the baseline.
-    pub baselined: usize,
 }
 
 impl Outcome {
@@ -49,9 +47,8 @@ pub fn render_text(o: &Outcome) -> String {
         ));
     }
     out.push_str(&format!(
-        "dcmaint-lint: {} finding(s), {} baselined, {} suppressed, {} file(s) scanned\n",
+        "dcmaint-lint: {} finding(s), {} suppressed, {} file(s) scanned\n",
         o.findings.len(),
-        o.baselined,
         o.suppressed,
         o.files
     ));
@@ -77,11 +74,11 @@ fn escape_json(s: &str) -> String {
 /// Machine-readable report (one object; findings array in canonical
 /// order) — the CI artifact.
 ///
-/// Schema v2: adds a `schema` tag and a `by_rule` object counting
+/// Schema v3: a `schema` tag, and a `by_rule` object counting
 /// surviving findings per registered rule (rules with zero findings
 /// are present too, so consumers can diff coverage across runs).
 pub fn render_json(o: &Outcome) -> String {
-    let mut out = String::from("{\n  \"schema\": 2,\n  \"findings\": [");
+    let mut out = String::from("{\n  \"schema\": 3,\n  \"findings\": [");
     for (i, f) in o.findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -107,9 +104,8 @@ pub fn render_json(o: &Outcome) -> String {
     }
     out.push_str("\n  },");
     out.push_str(&format!(
-        "\n  \"files_scanned\": {},\n  \"baselined\": {},\n  \"suppressed\": {},\n  \"clean\": {}\n}}\n",
+        "\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"clean\": {}\n}}\n",
         o.files,
-        o.baselined,
         o.suppressed,
         o.clean()
     ));

@@ -1,22 +1,23 @@
 //! Semantic, cross-file rules over the item model.
 //!
-//! Where [`crate::rules`] pattern-matches single blanked lines, the
-//! rules here reason about *items across files* ([`crate::model`]):
-//! the `Ev` enum vs. its profiler/journal coverage, RNG draw sites vs.
-//! the named-stream discipline, and `Mutex` acquisition order vs. a
-//! declared hierarchy. Each is a static shadow of a dynamic contract
-//! the CI gates already enforce at runtime (counted-draw twin replay,
-//! attribution tiling, deadlock-freedom) — the point is to catch the
-//! drift at lint time, before a long run discovers it. (Snapshot
-//! coverage needs no lint: `dcmaint_ckpt::persist!` destructures every
-//! state type exhaustively, so the compiler enforces it.)
+//! The rules here reason about *items across files*
+//! ([`crate::model`]): the `Ev` enum vs. its profiler/journal
+//! coverage, and `Mutex` acquisition order vs. a declared hierarchy.
+//! Each is a static shadow of a dynamic contract the CI gates already
+//! enforce at runtime (attribution tiling, deadlock-freedom) — the
+//! point is to catch the drift at lint time, before a long run
+//! discovers it. The contracts a type or a per-expression lint can
+//! carry are not here: snapshot coverage is a compile error
+//! (`dcmaint_ckpt::persist!` destructures every state type
+//! exhaustively), every RNG draw is on a `dcmaint_des::Stream` that
+//! only `SimRng::stream` can build, and clippy bans the rest.
 //!
-//! All three are deliberate over-approximations on token streams, not
-//! proofs; the escape hatch is the same `// lint:allow(rule): reason`
-//! the syntactic rules use, so every exception is justified in place.
+//! Both are deliberate over-approximations on token streams, not
+//! proofs; the escape hatch is `// lint:allow(rule): reason`, so every
+//! exception is justified in place.
 
 use crate::model::{arms_of_first_match, FileModel};
-use crate::rules::{EVENT_COVERAGE, LOCK_ORDER, RNG_STREAM};
+use crate::rules::{EVENT_COVERAGE, LOCK_ORDER};
 use crate::tokens::Tok;
 use crate::{FileKind, Finding};
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,26 +29,6 @@ pub const ENGINE_FILE: &str = "crates/scenarios/src/engine.rs";
 /// tickets, telemetry…) that hold cloned journal handles, so the
 /// whole workspace is callable.
 const EVENT_UNIVERSE: &str = "crates/";
-/// Engine code where every RNG draw must go through a named stream.
-const RNG_SCOPES: &[&str] = &["crates/scenarios/src/", "crates/twin/src/"];
-
-/// Stream draw methods (from `des::rng::Stream`); a call to one of
-/// these consumes the counted draw tape.
-const DRAW_METHODS: &[&str] = &[
-    "next_u64",
-    "uniform",
-    "uniform_range",
-    "below",
-    "index",
-    "chance",
-    "choose",
-    "weighted_index",
-    "shuffle",
-];
-
-/// Sanctioned stream-derivation calls: a value produced by one of
-/// these is itself a named stream.
-const DERIVE_METHODS: &[&str] = &["root", "stream", "child"];
 
 /// Idents that mark a fn as an observability sink for event-coverage.
 const SINK_IDENTS: &[&str] = &["journal", "traces"];
@@ -72,7 +53,6 @@ impl SemFile<'_> {
 pub fn check(files: &[SemFile<'_>], locks: Option<&LockHierarchy>) -> Vec<Finding> {
     let mut out = Vec::new();
     event_coverage(files, &mut out);
-    rng_stream_discipline(files, &mut out);
     if let Some(h) = locks {
         lock_order(files, h, &mut out);
     }
@@ -200,224 +180,6 @@ fn event_coverage(files: &[SemFile<'_>], out: &mut Vec<Finding>) {
                     v.name,
                 ),
             ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- //
-// rng-stream-discipline
-// ---------------------------------------------------------------- //
-
-/// What a draw call's receiver resolves to, walking tokens backwards
-/// from the `.method(` site.
-enum Recv {
-    /// `….name.method(…)` — a field access.
-    Field(String),
-    /// `name.method(…)` — a bare local/param.
-    Local(String),
-    /// `…fn_name(…).method(…)` — the result of a call.
-    Call(String),
-    Opaque,
-}
-
-fn resolve_recv(model: &FileModel, dot: usize) -> Recv {
-    // `dot` indexes the `.` before the method name.
-    let toks = &model.tokens;
-    let Some(j) = dot.checked_sub(1) else {
-        return Recv::Opaque;
-    };
-    match &toks[j].tok {
-        Tok::Ident(name) => {
-            if j >= 1 && toks[j - 1].is_punct(b'.') {
-                Recv::Field(name.clone())
-            } else {
-                Recv::Local(name.clone())
-            }
-        }
-        Tok::Punct(b']') => {
-            // Indexed: `…deques[i].method(…)` — find the `[`'s owner.
-            let mut depth = 1i32;
-            let mut k = j;
-            while k > 0 && depth > 0 {
-                k -= 1;
-                match toks[k].tok {
-                    Tok::Punct(b']') => depth += 1,
-                    Tok::Punct(b'[') => depth -= 1,
-                    _ => {}
-                }
-            }
-            match k.checked_sub(1).map(|p| &toks[p].tok) {
-                Some(Tok::Ident(name)) => {
-                    if k >= 2 && toks[k - 2].is_punct(b'.') {
-                        Recv::Field(name.clone())
-                    } else {
-                        Recv::Local(name.clone())
-                    }
-                }
-                _ => Recv::Opaque,
-            }
-        }
-        Tok::Punct(b')') => {
-            // Call result: `….derive(…).method(…)` — name the callee.
-            let mut depth = 1i32;
-            let mut k = j;
-            while k > 0 && depth > 0 {
-                k -= 1;
-                match toks[k].tok {
-                    Tok::Punct(b')') => depth += 1,
-                    Tok::Punct(b'(') => depth -= 1,
-                    _ => {}
-                }
-            }
-            match k.checked_sub(1).map(|p| &toks[p].tok) {
-                Some(Tok::Ident(name)) => Recv::Call(name.clone()),
-                _ => Recv::Opaque,
-            }
-        }
-        _ => Recv::Opaque,
-    }
-}
-
-/// Field names (workspace-wide) whose declared type mentions `Stream`
-/// or `SimRng` — the named streams the discipline sanctions.
-fn stream_field_names(files: &[SemFile<'_>]) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    for f in files {
-        for s in &f.model.structs {
-            for fld in &s.fields {
-                if fld.ty.iter().any(|t| t == "Stream" || t == "SimRng") {
-                    set.insert(fld.name.clone());
-                }
-            }
-        }
-    }
-    set
-}
-
-/// Locals of one fn sanctioned as streams: params typed
-/// `Stream`/`SimRng`, plus `let` bindings whose initializer derives a
-/// stream (`root(…)`, `.stream(…)`, `.child(…)`, or a `Stream` path).
-fn sanctioned_locals(model: &FileModel, f: &crate::model::FnItem) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    // Params: parse the signature's paren group like a braced body.
-    let toks = &model.tokens;
-    let sig_end = f.sig.end.min(toks.len());
-    if let Some(open) = (f.sig.start..sig_end).find(|&i| toks[i].is_punct(b'(')) {
-        let (params, _) = crate::model::parse_paren_entries(toks, open);
-        for p in params {
-            if p.ty.iter().any(|t| t == "Stream" || t == "SimRng") {
-                set.insert(p.name);
-            }
-        }
-    }
-    // `let [mut] v = <expr containing a derivation>;`
-    let Some(body) = f.body.clone() else {
-        return set;
-    };
-    let end = body.end.min(toks.len());
-    let mut i = body.start.min(end);
-    while i < end {
-        if !toks[i].is_ident("let") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if j < end && toks[j].is_ident("mut") {
-            j += 1;
-        }
-        let Some(var) = toks.get(j).and_then(|t| t.ident()) else {
-            i = j;
-            continue;
-        };
-        // Scan the initializer to the statement's `;` at depth 0.
-        let mut depth = 0i32;
-        let mut derives = false;
-        let mut k = j + 1;
-        while k < end {
-            match &toks[k].tok {
-                Tok::Punct(b'{') | Tok::Punct(b'(') | Tok::Punct(b'[') => depth += 1,
-                Tok::Punct(b'}') | Tok::Punct(b')') | Tok::Punct(b']') => depth -= 1,
-                Tok::Punct(b';') if depth <= 0 => break,
-                Tok::Ident(id) => {
-                    let call = toks.get(k + 1).map(|t| t.is_punct(b'(')) == Some(true);
-                    if (call && DERIVE_METHODS.contains(&id.as_str())) || id == "Stream" {
-                        derives = true;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if derives {
-            set.insert(var.to_string());
-        }
-        i = j + 1;
-    }
-    set
-}
-
-/// Every RNG draw inside engine code must go through a named stream:
-/// a `Stream`/`SimRng`-typed field or param, a binding derived via
-/// `root`/`stream`/`child`, or a direct derivation-call chain. Ad-hoc
-/// draws shift every later draw on the tape and break the twin's
-/// counted-draw replay.
-fn rng_stream_discipline(files: &[SemFile<'_>], out: &mut Vec<Finding>) {
-    let stream_fields = stream_field_names(files);
-    for f in files {
-        if !RNG_SCOPES.iter().any(|p| f.rel.starts_with(p)) {
-            continue;
-        }
-        if matches!(f.kind, FileKind::Test | FileKind::Bench) {
-            continue;
-        }
-        let toks = &f.model.tokens;
-        for fun in &f.model.fns {
-            let Some(body) = fun.body.clone() else {
-                continue;
-            };
-            if f.in_test(fun.line) {
-                continue;
-            }
-            let locals = sanctioned_locals(f.model, fun);
-            let end = body.end.min(toks.len());
-            for i in body.start.min(end)..end {
-                let Some(m) = toks[i].ident() else { continue };
-                if !DRAW_METHODS.contains(&m) {
-                    continue;
-                }
-                if i == 0 || !toks[i - 1].is_punct(b'.') {
-                    continue;
-                }
-                if toks.get(i + 1).map(|t| t.is_punct(b'(')) != Some(true) {
-                    continue;
-                }
-                // `LinkId::index()` and friends: a *draw* `.index(len)`
-                // always takes an argument.
-                if m == "index" && toks.get(i + 2).map(|t| t.is_punct(b')')) == Some(true) {
-                    continue;
-                }
-                if f.in_test(toks[i].line) {
-                    continue;
-                }
-                let sanctioned = match resolve_recv(f.model, i - 1) {
-                    Recv::Field(name) => stream_fields.contains(&name),
-                    Recv::Local(name) => locals.contains(&name) || stream_fields.contains(&name),
-                    Recv::Call(name) => DERIVE_METHODS.contains(&name.as_str()),
-                    Recv::Opaque => false,
-                };
-                if !sanctioned {
-                    out.push(Finding::new(
-                        f.rel,
-                        toks[i].line,
-                        RNG_STREAM,
-                        format!(
-                            "RNG draw `.{m}(…)` on an unnamed stream; route it through a \
-                             Stream field or a root()/stream()/child() derivation so the \
-                             twin's counted-draw replay stays exact",
-                        ),
-                    ));
-                }
-            }
         }
     }
 }
@@ -573,15 +335,32 @@ fn lock_order(files: &[SemFile<'_>], hier: &LockHierarchy, out: &mut Vec<Finding
     }
 }
 
-/// The receiver field name of a `.lock(` / method call at `dot`.
+/// The receiver name of a `.lock(` call whose `.` is at `dot`:
+/// `…name.lock(` or the indexed `…name[i].lock(`; `None` for anything
+/// else (a call result, a literal).
 fn recv_name(model: &FileModel, dot: usize) -> Option<String> {
-    match resolve_recv(model, dot) {
-        Recv::Field(n) | Recv::Local(n) => Some(n),
+    let toks = &model.tokens;
+    let j = dot.checked_sub(1)?;
+    match &toks[j].tok {
+        Tok::Ident(name) => Some(name.clone()),
+        Tok::Punct(b']') => {
+            // Indexed: `…deques[i].lock()` — find the `[`'s owner.
+            let mut depth = 1i32;
+            let mut k = j;
+            while k > 0 && depth > 0 {
+                k -= 1;
+                match toks[k].tok {
+                    Tok::Punct(b']') => depth += 1,
+                    Tok::Punct(b'[') => depth -= 1,
+                    _ => {}
+                }
+            }
+            toks[k.checked_sub(1)?].ident().map(str::to_string)
+        }
         _ => None,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn walk_fn(
     f: &SemFile<'_>,
     fun: &crate::model::FnItem,

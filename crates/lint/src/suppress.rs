@@ -3,8 +3,8 @@
 //! A suppression silences matching findings on its own line (trailing
 //! comment) or, when the comment stands alone, on the next line that
 //! carries code. The reason is mandatory — a suppression is a claim
-//! ("this HashMap is lookup-only") and the claim must be written down
-//! where the reviewer will read it. Malformed and *unused*
+//! ("this event is internal bookkeeping") and the claim must be
+//! written down where the reviewer will read it. Malformed and *unused*
 //! suppressions are themselves findings ([`crate::rules::ALLOW_HYGIENE`]),
 //! so stale annotations can't accumulate after the hazard they
 //! excused is gone.

@@ -8,7 +8,7 @@
 //! This is the first entry toward the ROADMAP's fuzz-surface item:
 //! the same pattern extends to the scenario-DSL parser later.
 
-use dcmaint_lint::{lexer, lint_sources_with, model, tokens};
+use dcmaint_lint::{lexer, lint_sources, model, tokens};
 use proptest::prelude::*;
 
 /// Everything the parser dispatches on, plus lexical trouble: unpaired
@@ -132,7 +132,7 @@ fn pipeline_total(src: &str) {
         ),
         ("crates/serve/src/server.rs".to_string(), src.to_string()),
     ];
-    let _ = lint_sources_with(&files, None, Some(LOCKS));
+    let _ = lint_sources(&files, Some(LOCKS));
 }
 
 proptest! {

@@ -1,12 +1,28 @@
-//! Golden fixture tests for every lint rule, suppression and baseline
-//! round-trips, and a property test that lint output bytes are
+//! Suppression and allow-hygiene fixtures over findings of the
+//! retained rules, and a property test that lint output bytes are
 //! invariant to file-discovery order.
 //!
 //! Fixtures are inline source snippets (not files on disk), so the
 //! real tree-wide lint run never sees them.
 
-use dcmaint_lint::{classify, lint_source, lint_sources, report, rules, FileKind, Finding};
+use dcmaint_lint::{classify, lint_sources, report, rules, FileKind, Finding};
 use proptest::prelude::*;
+
+const LOCKS: &str = "[crates/serve]\ninner\nring\n";
+
+/// `ring` taken before `inner`: one `lock-order` finding, on line 3.
+const INVERTED: &str =
+    "fn f(s: &S) {\n    let r = s.ring.lock().unwrap();\n    let g = s.inner.lock().unwrap();\n}\n";
+
+fn file(path: &str, src: &str) -> (String, String) {
+    (path.to_string(), src.to_string())
+}
+
+fn lint(src: &str) -> Vec<Finding> {
+    lint_sources(&[file("crates/serve/src/x.rs", src)], Some(LOCKS))
+        .expect("fixture lint")
+        .findings
+}
 
 fn rules_of(findings: &[Finding]) -> Vec<(&'static str, u32)> {
     findings.iter().map(|f| (f.rule, f.line)).collect()
@@ -16,228 +32,72 @@ fn rules_of(findings: &[Finding]) -> Vec<(&'static str, u32)> {
 
 #[test]
 fn classification() {
-    assert_eq!(classify("src/lib.rs"), FileKind::LibRoot);
-    assert_eq!(classify("crates/des/src/lib.rs"), FileKind::LibRoot);
+    assert_eq!(classify("src/lib.rs"), FileKind::Lib);
     assert_eq!(classify("crates/des/src/sched.rs"), FileKind::Lib);
-    assert_eq!(classify("src/bin/selfmaint.rs"), FileKind::BinRoot);
-    assert_eq!(
-        classify("crates/scenarios/src/bin/experiments.rs"),
-        FileKind::BinRoot
-    );
-    assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);
+    assert_eq!(classify("src/bin/selfmaint.rs"), FileKind::Lib);
+    assert_eq!(classify("examples/quickstart.rs"), FileKind::Lib);
     assert_eq!(classify("tests/integration.rs"), FileKind::Test);
     assert_eq!(classify("crates/des/tests/props.rs"), FileKind::Test);
     assert_eq!(classify("crates/bench/benches/hot.rs"), FileKind::Bench);
 }
 
-// ----- rule fixtures ------------------------------------------------
-
-#[test]
-fn wall_clock_flagged() {
-    let src = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&f), vec![(rules::WALL_CLOCK, 2)]);
-}
-
-#[test]
-fn wall_clock_sanctioned_in_obs_wall() {
-    let src = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
-    assert!(lint_source("crates/obs/src/wall.rs", src).is_empty());
-}
-
-#[test]
-fn system_time_flagged() {
-    let src = "fn f() {\n    let t = std::time::SystemTime::now();\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&f), vec![(rules::WALL_CLOCK, 2)]);
-}
-
-#[test]
-fn unseeded_rng_flagged() {
-    let src =
-        "fn f() {\n    let mut r = rand::thread_rng();\n    let s = SmallRng::from_entropy();\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(
-        rules_of(&f),
-        vec![(rules::UNSEEDED_RNG, 2), (rules::UNSEEDED_RNG, 3)]
-    );
-}
-
-#[test]
-fn hash_iteration_flagged_in_lib_and_bin() {
-    let src =
-        "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(
-        rules_of(&f),
-        vec![(rules::HASH_ITERATION, 1), (rules::HASH_ITERATION, 2)]
-    );
-    assert!(!lint_source("src/bin/tool.rs", src).is_empty());
-}
-
-#[test]
-fn hash_iteration_skipped_in_tests_and_cfg_test() {
-    let src = "use std::collections::HashSet;\nfn f() { let s: HashSet<u32> = HashSet::new(); }\n";
-    assert!(lint_source("tests/props.rs", src).is_empty());
-    assert!(lint_source("crates/core/benches/b.rs", src).is_empty());
-    let gated = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn t() { let _m: HashMap<u8, u8> = HashMap::new(); }\n}\n";
-    assert!(lint_source("crates/core/src/x.rs", gated).is_empty());
-}
-
-#[test]
-fn hash_in_comment_or_string_not_flagged() {
-    let src = "// HashMap would be wrong here\nfn f() { let s = \"HashMap\"; }\n";
-    assert!(lint_source("crates/core/src/x.rs", src).is_empty());
-}
-
-#[test]
-fn float_fold_flagged() {
-    let src = "fn f(m: &BTreeMap<u32, f64>) -> f64 {\n    m.values().copied().sum::<f64>()\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&f), vec![(rules::FLOAT_FOLD, 2)]);
-    // Integer folds over values() are order-insensitive: no finding.
-    let ok = "fn f(m: &BTreeMap<u32, u64>) -> u64 {\n    m.values().copied().sum::<u64>()\n}\n";
-    assert!(lint_source("crates/core/src/x.rs", ok).is_empty());
-}
-
-#[test]
-fn print_in_lib_flagged_only_in_lib() {
-    let src = "fn f() {\n    println!(\"hi\");\n    eprintln!(\"uh\");\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(
-        rules_of(&f),
-        vec![(rules::PRINT_IN_LIB, 2), (rules::PRINT_IN_LIB, 3)]
-    );
-    // Binaries, examples, tests may print (roots still owe the
-    // forbid-unsafe attribute, so filter to the print rule).
-    let no_prints = |path: &str| {
-        lint_source(path, src)
-            .iter()
-            .all(|f| f.rule != rules::PRINT_IN_LIB)
-    };
-    assert!(no_prints("src/bin/tool.rs"));
-    assert!(no_prints("examples/demo.rs"));
-    assert!(lint_source("tests/t.rs", src).is_empty());
-    // The ReportWriter implementation is the sanctioned funnel.
-    assert!(lint_source("crates/scenarios/src/writer.rs", src).is_empty());
-}
-
-#[test]
-fn forbid_unsafe_required_on_roots() {
-    let bare = "fn main() {}\n";
-    let good = "#![forbid(unsafe_code)]\nfn main() {}\n";
-    assert_eq!(
-        rules_of(&lint_source("src/bin/tool.rs", bare)),
-        vec![(rules::FORBID_UNSAFE, 1)]
-    );
-    assert_eq!(
-        rules_of(&lint_source("crates/core/src/lib.rs", bare)),
-        vec![(rules::FORBID_UNSAFE, 1)]
-    );
-    assert_eq!(
-        rules_of(&lint_source("examples/demo.rs", bare)),
-        vec![(rules::FORBID_UNSAFE, 1)]
-    );
-    assert!(lint_source("src/bin/tool.rs", good).is_empty());
-    // Non-root library modules don't need the attribute (the crate
-    // root's forbid covers them).
-    assert!(lint_source("crates/core/src/inner.rs", bare).is_empty());
-}
-
 // ----- suppressions -------------------------------------------------
 
 #[test]
+fn unsuppressed_fixture_is_one_finding() {
+    assert_eq!(rules_of(&lint(INVERTED)), vec![(rules::LOCK_ORDER, 3)]);
+}
+
+#[test]
 fn suppression_standalone_and_trailing() {
-    let standalone = "fn f() {\n    // lint:allow(hash-iteration): lookup-only cache, never iterated\n    let m: HashMap<u32, u32> = HashMap::new();\n}\n";
-    assert!(lint_source("crates/core/src/x.rs", standalone).is_empty());
-    let trailing = "fn f() {\n    let m: HashMap<u32, u32> = HashMap::new(); // lint:allow(hash-iteration): lookup-only cache\n}\n";
-    assert!(lint_source("crates/core/src/x.rs", trailing).is_empty());
+    let standalone = INVERTED.replace(
+        "    let g = s.inner",
+        "    // lint:allow(lock-order): the ring guard is dropped before inner in practice\n    let g = s.inner",
+    );
+    assert!(lint(&standalone).is_empty());
+    let trailing = INVERTED.replace(
+        "s.inner.lock().unwrap();",
+        "s.inner.lock().unwrap(); // lint:allow(lock-order): guards never overlap",
+    );
+    assert!(lint(&trailing).is_empty());
 }
 
 #[test]
 fn suppression_reason_is_mandatory() {
-    let src = "fn f() {\n    // lint:allow(hash-iteration)\n    let m: HashMap<u32, u32> = HashMap::new();\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    // The bare allow is a hygiene finding AND the hash finding stands.
+    let src = INVERTED.replace(
+        "    let g = s.inner",
+        "    // lint:allow(lock-order)\n    let g = s.inner",
+    );
+    let f = lint(&src);
+    // The bare allow is a hygiene finding AND the lock finding stands.
     let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
     assert!(rules.contains(&rules::ALLOW_HYGIENE));
-    assert!(rules.contains(&rules::HASH_ITERATION));
+    assert!(rules.contains(&rules::LOCK_ORDER));
 }
 
 #[test]
 fn suppression_unknown_rule_is_flagged() {
     let src = "// lint:allow(no-such-rule): whatever\nfn f() {}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&f), vec![(rules::ALLOW_HYGIENE, 1)]);
+    assert_eq!(rules_of(&lint(src)), vec![(rules::ALLOW_HYGIENE, 1)]);
 }
 
 #[test]
 fn unused_suppression_is_flagged() {
-    let src = "fn f() {\n    // lint:allow(wall-clock): stale excuse for code since removed\n    let x = 1;\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    assert_eq!(rules_of(&f), vec![(rules::ALLOW_HYGIENE, 2)]);
+    let src = "fn f() {\n    // lint:allow(lock-order): stale excuse for code since removed\n    let x = 1;\n}\n";
+    assert_eq!(rules_of(&lint(src)), vec![(rules::ALLOW_HYGIENE, 2)]);
 }
 
 #[test]
 fn suppression_only_covers_its_rule() {
-    let src = "fn f() {\n    // lint:allow(wall-clock): timing for the bench artifact\n    let m: HashMap<u32, u32> = HashMap::new();\n}\n";
-    let f = lint_source("crates/core/src/x.rs", src);
-    // The hash finding survives; the wall-clock allow is unused.
+    let src = INVERTED.replace(
+        "    let g = s.inner",
+        "    // lint:allow(event-coverage): names the wrong rule\n    let g = s.inner",
+    );
+    let f = lint(&src);
+    // The lock finding survives; the event-coverage allow is unused.
     let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
-    assert!(rules.contains(&rules::HASH_ITERATION));
+    assert!(rules.contains(&rules::LOCK_ORDER));
     assert!(rules.contains(&rules::ALLOW_HYGIENE));
-}
-
-// ----- baseline -----------------------------------------------------
-
-fn file(path: &str, src: &str) -> (String, String) {
-    (path.to_string(), src.to_string())
-}
-
-const HAZARD: &str = "fn f() {\n    let a: HashMap<u32, u32> = HashMap::new();\n    let b: HashSet<u32> = HashSet::new();\n    let t = std::time::Instant::now();\n}\n";
-
-#[test]
-fn baseline_round_trip() {
-    let files = [file("crates/core/src/x.rs", HAZARD)];
-    // Without a baseline: three findings.
-    let out = lint_sources(&files, None).unwrap();
-    assert_eq!(out.findings.len(), 3);
-    // Render the baseline from them, re-lint with it: clean.
-    let text = dcmaint_lint::baseline::render(&out.findings);
-    let out2 = lint_sources(&files, Some(("lint-baseline.txt", &text))).unwrap();
-    assert!(out2.clean(), "unexpected: {:?}", out2.findings);
-    assert_eq!(out2.baselined, 3);
-}
-
-#[test]
-fn baseline_absorbs_lowest_lines_first() {
-    let files = [file("crates/core/src/x.rs", HAZARD)];
-    let text = "crates/core/src/x.rs hash-iteration 1\n";
-    let out = lint_sources(&files, Some(("b.txt", text))).unwrap();
-    // Hash findings on lines 2 and 3; the budget of 1 absorbs line 2,
-    // line 3 survives, plus the wall-clock finding on line 4.
-    assert_eq!(out.baselined, 1);
-    assert_eq!(out.findings.len(), 2);
-}
-
-#[test]
-fn stale_baseline_entry_is_an_error() {
-    // The tree got fixed but the baseline still grandfathers findings:
-    // the entry itself must turn into a finding so the file shrinks.
-    let files = [file("crates/core/src/x.rs", "fn clean() {}\n")];
-    let text = "# header\ncrates/core/src/x.rs hash-iteration 2\n";
-    let out = lint_sources(&files, Some(("lint-baseline.txt", text))).unwrap();
-    assert_eq!(rules_of(&out.findings), vec![(rules::STALE_BASELINE, 2)]);
-    assert!(out.findings[0].path == "lint-baseline.txt");
-}
-
-#[test]
-fn baseline_rejects_malformed_and_meta_rules() {
-    let files = [file("crates/core/src/x.rs", "fn f() {}\n")];
-    assert!(lint_sources(&files, Some(("b", "one two\n"))).is_err());
-    assert!(lint_sources(&files, Some(("b", "p hash-iteration zero\n"))).is_err());
-    assert!(lint_sources(&files, Some(("b", "p hash-iteration 0\n"))).is_err());
-    assert!(lint_sources(&files, Some(("b", "p stale-baseline 1\n"))).is_err());
 }
 
 // ----- determinism of the linter itself -----------------------------
@@ -245,24 +105,20 @@ fn baseline_rejects_malformed_and_meta_rules() {
 /// A small synthetic workspace with findings in several files.
 fn corpus() -> Vec<(String, String)> {
     vec![
+        file("crates/serve/src/a.rs", INVERTED),
         file(
-            "crates/a/src/lib.rs",
-            "fn f() { let m: HashMap<u8,u8> = HashMap::new(); }\n",
-        ),
-        file("crates/a/src/m.rs", "fn g() { println!(\"x\"); }\n"),
-        file(
-            "crates/b/src/lib.rs",
-            "#![forbid(unsafe_code)]\nfn h() { let t = std::time::Instant::now(); }\n",
+            "crates/serve/src/b.rs",
+            "fn g(s: &S) {\n    let r = s.ring.lock().unwrap();\n    s.inner.lock().unwrap().tick();\n}\n",
         ),
         file(
-            "src/bin/t.rs",
-            "#![forbid(unsafe_code)]\nfn main() { let r = rand::thread_rng(); }\n",
+            "crates/scenarios/src/engine.rs",
+            "enum Ev { Tick, Lost }\nfn prof_attribution(ev: &Ev) -> u8 {\n    match ev { Ev::Tick => 0, _ => 1 }\n}\n",
         ),
         file(
-            "tests/t.rs",
-            "fn t() { let m: HashSet<u8> = HashSet::new(); }\n",
+            "crates/sweep/src/c.rs",
+            "// lint:allow(no-such-rule): typo\nfn h() {}\n",
         ),
-        file("examples/e.rs", "#![forbid(unsafe_code)]\nfn main() {}\n"),
+        file("tests/t.rs", INVERTED),
     ]
 }
 
@@ -280,8 +136,9 @@ proptest! {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             files.swap(i, (s >> 33) as usize % (i + 1));
         }
-        let canon = lint_sources(&corpus(), None).unwrap();
-        let shuffled = lint_sources(&files, None).unwrap();
+        let canon = lint_sources(&corpus(), Some(LOCKS)).unwrap();
+        let shuffled = lint_sources(&files, Some(LOCKS)).unwrap();
+        prop_assert!(canon.findings.len() >= 4, "corpus lost its findings: {:?}", canon.findings);
         prop_assert_eq!(report::render_text(&canon), report::render_text(&shuffled));
         prop_assert_eq!(report::render_json(&canon), report::render_json(&shuffled));
     }

@@ -2,8 +2,8 @@
 //!
 //! Everything the experiments measure flows through this crate:
 //!
-//! * [`StreamingStats`], [`SampleSet`], [`DurationSamples`],
-//!   [`DurationHistogram`] — streaming and exact-quantile statistics,
+//! * [`StreamingStats`], [`SampleSet`], [`DurationSamples`] — streaming
+//!   and exact-quantile statistics,
 //! * [`AvailabilityTracker`], [`FleetAvailability`] — up/down ledgers
 //!   yielding availability, MTBF, MTTR and downtime-window distributions,
 //! * [`CostModel`], [`CostLedger`] — labor / robot / hardware / downtime /
@@ -16,7 +16,6 @@
 //! says "availability", it means [`FleetAvailability::summarize`], for
 //! every experiment.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod avail;
@@ -29,7 +28,5 @@ pub use avail::{
     FleetSummary,
 };
 pub use cost::{CostLedger, CostModel, HardwareKind};
-pub use stats::{
-    mean_ci95, Beta, Ci95, DurationHistogram, DurationSamples, SampleSet, StreamingStats,
-};
+pub use stats::{mean_ci95, Beta, Ci95, DurationSamples, SampleSet, StreamingStats};
 pub use table::{fnum, fpct, fratio, Align, Table};

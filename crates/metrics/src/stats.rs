@@ -479,91 +479,6 @@ impl DurationSamples {
     }
 }
 
-/// Fixed-bucket histogram over log-spaced duration bins, for rendering
-/// repair-time distributions as text.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    /// Bucket upper bounds, strictly increasing.
-    bounds: Vec<SimDuration>,
-    counts: Vec<u64>,
-    overflow: u64,
-}
-
-impl DurationHistogram {
-    /// Histogram with the given strictly-increasing bucket upper bounds.
-    pub fn new(bounds: Vec<SimDuration>) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let n = bounds.len();
-        DurationHistogram {
-            bounds,
-            counts: vec![0; n],
-            overflow: 0,
-        }
-    }
-
-    /// Standard buckets for repair-time analysis: 1 s … 30 d, log-spaced.
-    pub fn repair_scale() -> Self {
-        let secs = [
-            1u64,
-            10,
-            30,
-            60,
-            300,
-            900,
-            1_800,
-            3_600,
-            4 * 3_600,
-            12 * 3_600,
-            24 * 3_600,
-            3 * 24 * 3_600,
-            7 * 24 * 3_600,
-            30 * 24 * 3_600,
-        ];
-        Self::new(secs.iter().map(|&s| SimDuration::from_secs(s)).collect())
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        match self.bounds.iter().position(|&b| d <= b) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.overflow
-    }
-
-    /// (upper-bound, count) pairs plus the overflow count.
-    pub fn buckets(&self) -> (Vec<(SimDuration, u64)>, u64) {
-        (
-            self.bounds
-                .iter()
-                .copied()
-                .zip(self.counts.iter().copied())
-                .collect(),
-            self.overflow,
-        )
-    }
-
-    /// Fraction of observations at or below `d` (empirical CDF at bucket
-    /// granularity, using bucket upper bounds).
-    pub fn cdf_at(&self, d: SimDuration) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut acc = 0u64;
-        for (i, &b) in self.bounds.iter().enumerate() {
-            if b <= d {
-                acc += self.counts[i];
-            }
-        }
-        acc as f64 / total as f64
-    }
-}
-
 /// Beta posterior over a Bernoulli success probability.
 ///
 /// The conjugate workhorse behind online efficacy estimation: start from
@@ -781,23 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = DurationHistogram::repair_scale();
-        h.record(SimDuration::from_millis(500)); // <= 1 s bucket
-        h.record(SimDuration::from_secs(45)); // <= 60 s bucket
-        h.record(SimDuration::from_days(365)); // overflow
-        assert_eq!(h.total(), 3);
-        let (buckets, overflow) = h.buckets();
-        assert_eq!(overflow, 1);
-        assert_eq!(buckets[0].1, 1);
-        let min_bucket = buckets
-            .iter()
-            .find(|(b, _)| *b == SimDuration::from_secs(60))
-            .unwrap();
-        assert_eq!(min_bucket.1, 1);
-    }
-
-    #[test]
     fn ci95_known_reference_values() {
         // n = 5, {1,2,3,4,5}: mean 3, s² = 2.5, se = √0.5 ≈ 0.70711,
         // t₀.₉₇₅,₄ = 2.776 → half ≈ 1.96294 (reference value from any
@@ -858,16 +756,6 @@ mod tests {
         assert_eq!(s.mean_ci95(), ci);
         assert!((s.sample_variance() - 1.0).abs() < 1e-12);
         assert!((s.sample_stddev() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_cdf() {
-        let mut h = DurationHistogram::repair_scale();
-        for s in [5u64, 20, 50, 200, 4000] {
-            h.record(SimDuration::from_secs(s));
-        }
-        assert!((h.cdf_at(SimDuration::from_secs(60)) - 0.6).abs() < 1e-12);
-        assert!((h.cdf_at(SimDuration::from_days(30)) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //!   are quarantined: never mixed into simulated-time output, written
 //!   only to `BENCH.json`, the `profile` table and stderr.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod journal;

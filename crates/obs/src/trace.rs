@@ -290,7 +290,6 @@ impl TraceStore {
 
     /// Begin a trace when a ticket opens. The initial state is
     /// `triage`, entered at `opened`.
-    #[allow(clippy::too_many_arguments)]
     pub fn open(
         &mut self,
         ticket: u64,
@@ -366,7 +365,6 @@ impl TraceStore {
 
     /// Hands-on work begins at `at`: travel + op phases + residue label
     /// describing the tail of the interval the phases don't cover.
-    #[allow(clippy::too_many_arguments)]
     pub fn hands_on(
         &mut self,
         ticket: u64,

@@ -19,7 +19,6 @@
 //! to do and when is `maintctl`'s job — that separation *is* the paper's
 //! control-plane thesis.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fleet;

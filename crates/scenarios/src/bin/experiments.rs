@@ -16,7 +16,10 @@
 //! merges results in canonical order, so `--jobs 1` and `--jobs N`
 //! print identical bytes.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stderr,
+    reason = "usage errors go to stderr; tables go through ReportWriter"
+)]
 
 use dcmaint_scenarios::cli::{flag, parse_opt_or_exit};
 use dcmaint_scenarios::sweep;

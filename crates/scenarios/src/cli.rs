@@ -59,26 +59,32 @@ where
 
 /// [`parse_opt`], exiting with the conventional usage status (2) on a
 /// bad value. For `main`-adjacent code only.
+#[expect(
+    clippy::print_stderr,
+    reason = "usage errors must reach stderr before the exit; only binaries call the *_or_exit helpers"
+)]
 pub fn parse_opt_or_exit<T>(args: &[String], name: &str, default: T) -> T
 where
     T: FromStr,
     T::Err: Display,
 {
     parse_opt(args, name, default).unwrap_or_else(|e| {
-        // lint:allow(print-in-lib): usage errors must reach stderr before the exit below; only binaries call the *_or_exit helpers
         eprintln!("{e}");
         std::process::exit(2);
     })
 }
 
 /// [`parse_opt_maybe`], exiting with status 2 on a bad value.
+#[expect(
+    clippy::print_stderr,
+    reason = "usage errors must reach stderr before the exit; only binaries call the *_or_exit helpers"
+)]
 pub fn parse_opt_maybe_or_exit<T>(args: &[String], name: &str) -> Option<T>
 where
     T: FromStr,
     T::Err: Display,
 {
     parse_opt_maybe(args, name).unwrap_or_else(|e| {
-        // lint:allow(print-in-lib): usage errors must reach stderr before the exit below; only binaries call the *_or_exit helpers
         eprintln!("{e}");
         std::process::exit(2);
     })

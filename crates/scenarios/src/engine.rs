@@ -33,7 +33,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dcmaint_dcnet::routing::pair_connectivity;
 use dcmaint_dcnet::{AdminState, LinkHealth, LinkId, NetState, NodeId, RackLoc, Topology};
 use dcmaint_des::{Fired, Scheduler, SimDuration, SimRng, SimTime, Stream};
 use dcmaint_faults::EndFace;
@@ -349,6 +348,16 @@ pub fn run(cfg: ScenarioConfig) -> RunReport {
     Engine::new(cfg).execute()
 }
 
+/// Delay to the first whole hour within the next 24 whose diurnal
+/// utilization is below `gate`; one hour when none is. A deterministic
+/// scan of the diurnal curve — no RNG.
+fn trough_delay(now: SimTime, gate: f64) -> SimDuration {
+    (1..=24u64)
+        .map(SimDuration::from_hours)
+        .find(|&d| diurnal_utilization(now + d) < gate)
+        .unwrap_or(SimDuration::from_hours(1))
+}
+
 /// Construct a ready-to-run engine: full component construction plus the
 /// initial recurring-process events. Extracted from [`run`] so that
 /// checkpoint restore can rebuild an identical engine before overlaying
@@ -369,8 +378,7 @@ fn build_engine(cfg: ScenarioConfig) -> Engine {
     } else {
         Journal::disabled()
     };
-    let mut controller = MaintenanceController::new(cfg.controller_config());
-    controller.set_journal(journal.clone());
+    let controller = MaintenanceController::new(cfg.controller_config());
     let techs = TechnicianPool::new(cfg.techs.clone(), &rng.child("techs"));
     let mut fleet = match cfg.hall_pool {
         Some(count) => RobotFleet::hall_pool(count, cfg.fleet.clone(), &rng.child("fleet")),
@@ -713,26 +721,17 @@ impl Engine {
             });
         }
         // Act-now vs defer-to-trough: routine work on a still-carrying
-        // link dispatched outside the utilization trough. The target
-        // hour is a deterministic scan of the diurnal curve — no RNG.
+        // link dispatched outside the utilization trough.
         let gate = self.controller.config().trough_gate;
         if tcfg.explore_defer
             && priority == Priority::P2
             && self.state.link(link).health.carries_traffic()
             && diurnal_utilization(now) >= gate
         {
-            let mut target = now + SimDuration::from_hours(1);
-            for h in 1..=24u64 {
-                let t = now + SimDuration::from_hours(h);
-                if diurnal_utilization(t) < gate {
-                    target = t;
-                    break;
-                }
-            }
             cands.push(Candidate {
                 action: None,
                 human: false,
-                defer_until: Some(target),
+                defer_until: Some(now + trough_delay(now, gate)),
             });
         }
         cands.truncate(tcfg.max_branches.max(1));
@@ -953,7 +952,10 @@ impl Engine {
             // hazard sum and every RNG draw count are unchanged — only
             // the fault's target moves, which is exactly the class of
             // bug the bisector exists to localize.
-            // lint:allow(hash-iteration): intentional nondeterminism, gated behind cfg.nondet_demo
+            #[expect(
+                clippy::disallowed_types,
+                reason = "intentional nondeterminism, gated behind cfg.nondet_demo"
+            )]
             let map: std::collections::HashMap<usize, f64> =
                 weights.iter().copied().enumerate().collect();
             if let Some((&first, _)) = map.iter().next() {
@@ -1224,17 +1226,7 @@ impl Engine {
                 .carries_traffic()
             && !self.trough_deferred.contains(&ticket)
         {
-            let gate = cfg_ctl.trough_gate;
-            // Find the next hour (within 24) where utilization dips
-            // below the gate.
-            let mut delay = SimDuration::from_hours(1);
-            for h in 1..=24u64 {
-                let t = now + SimDuration::from_hours(h);
-                if diurnal_utilization(t) < gate {
-                    delay = SimDuration::from_hours(h);
-                    break;
-                }
-            }
+            let delay = trough_delay(now, cfg_ctl.trough_gate);
             self.trough_deferred.insert(ticket);
             self.traces.event(ticket.0, now, "await-trough");
             self.registry.inc("defer/trough");
@@ -1297,7 +1289,7 @@ impl Engine {
             // A1 ablation: no cross-layer coordination — book the actor
             // and touch the hardware hot, with no drain and no
             // pre-contact announcement.
-            self.dispatch_without_drain(ticket, link, action, executor, now, sched);
+            self.book_executor(ticket, link, action, executor, None, now, sched);
             return;
         }
         let plan = maintctl::drain::plan(
@@ -1353,21 +1345,11 @@ impl Engine {
         );
     }
 
-    /// A1-ablation path: no drain planning, no announcement.
-    fn dispatch_without_drain(
-        &mut self,
-        ticket: TicketId,
-        link: LinkId,
-        action: RepairAction,
-        executor: Executor,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        self.book_executor(ticket, link, action, executor, None, now, sched);
-    }
-
     /// Book the chosen executor and schedule the hands-on window.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the dispatch decision's parts, each chosen by a different rule"
+    )]
     fn book_executor(
         &mut self,
         ticket: TicketId,
@@ -2655,18 +2637,10 @@ impl Engine {
     }
 }
 
-/// Debug/analysis helper: fraction of sampled service pairs connected in
-/// the given state (re-exported for examples).
-pub fn service_connectivity(topo: &Topology, state: &NetState, pairs: &[(NodeId, NodeId)]) -> f64 {
-    pair_connectivity(topo, state, pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ScenarioConfig, TopologySpec};
-    #[allow(unused_imports)]
-    use dcmaint_faults::RootCause as _RootCauseForTests;
     use maintctl::AutomationLevel;
 
     fn small(seed: u64, level: AutomationLevel, days: u64) -> ScenarioConfig {

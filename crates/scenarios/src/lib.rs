@@ -6,7 +6,6 @@
 //! module regenerates every quantitative claim in the paper (E1–E11,
 //! indexed in EXPERIMENTS.md).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bisect;

@@ -57,8 +57,10 @@ pub fn submit(port: u16, spec_line: &str) -> Result<u64, String> {
 /// (`done`, `failed`, or `parked`) or the deadline passes. Returns the
 /// final state label.
 pub fn wait_terminal(port: u16, id: u64, deadline: Duration) -> Result<String, String> {
-    // lint:allow(wall-clock): client-side polling deadline, never
-    // simulation input.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a client-side polling deadline, never simulation input"
+    )]
     let start = std::time::Instant::now();
     loop {
         let resp =

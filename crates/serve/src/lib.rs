@@ -37,7 +37,6 @@
 //! (live JSONL fan-out), `GET /status`, `GET /metrics`, `POST
 //! /v1/shutdown`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dcmaint_des::SimDuration;

@@ -345,15 +345,22 @@ fn attempt_run(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt 
     // attempt that cut the snapshot — mark it seen.
     let (_, mut seen, _) = journal.tail(u64::MAX);
 
-    // lint:allow(wall-clock): per-attempt wall budget is operational
-    // policy at the daemon edge; it never feeds the simulation.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the per-attempt wall budget is operational policy at the daemon edge; it never feeds the simulation"
+    )]
     let started = std::time::Instant::now();
     let quantum = shared.cfg.checkpoint_every.as_micros().max(1);
 
     for cut in dcmaint_ckpt::Cadence::new(eng.now().as_micros(), end.as_micros(), quantum) {
         let t = SimTime::ZERO + dcmaint_des::SimDuration::from_micros(cut);
         if boom_now && t >= boom_at {
-            panic!("injected boom at {cut}us (attempt {attempts})");
+            // `resume_unwind` skips the panic hook: the supervisor's
+            // `catch_unwind` sees the same `String` payload, but the
+            // injected crash prints no message or backtrace.
+            std::panic::resume_unwind(Box::new(format!(
+                "injected boom at {cut}us (attempt {attempts})"
+            )));
         }
         if spec.slow_ms > 0 {
             std::thread::sleep(Duration::from_millis(spec.slow_ms));

@@ -217,6 +217,7 @@ fn full_queue_sheds_load_with_retry_after() {
 
     // Occupy the worker with a slow job, then fill the queue of one.
     let running = client::submit(port, &format!("{QUICK} slow_ms=80")).expect("submit");
+    #[expect(clippy::disallowed_methods, reason = "a test's wait deadline")]
     let t0 = std::time::Instant::now();
     loop {
         let rec = client::request(port, "GET", &format!("/v1/jobs/{running}"), "").unwrap();

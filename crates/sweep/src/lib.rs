@@ -26,7 +26,6 @@
 //! is measured by the `sweep` case of `selfmaint bench`, off the
 //! deterministic stdout.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod merge;

@@ -11,7 +11,6 @@
 //! * [`features`] — the fixed feature vector consumed by the §4
 //!   predictive-maintenance scorer in `maintctl`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counters;

@@ -15,7 +15,6 @@
 //! ticket", which automation levels L3/L4 model by closing the loop
 //! without a human ever being assigned.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod techs;

@@ -256,7 +256,7 @@ mod tests {
         let starts: Vec<_> = (0..4)
             .map(|_| p.assign(at_hour(9), Priority::P0, 10.0, hands_on))
             .collect();
-        let techs: std::collections::HashSet<_> = starts.iter().map(|a| a.tech).collect();
+        let techs: std::collections::BTreeSet<_> = starts.iter().map(|a| a.tech).collect();
         assert_eq!(techs.len(), 4, "four distinct technicians used");
         // Fifth job must start after one of the first four finishes.
         let fifth = p.assign(at_hour(9), Priority::P0, 10.0, hands_on);

@@ -23,7 +23,6 @@
 //! are comparative — the experiments (E8) rank topologies, they don't
 //! interpret absolute values.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod reconfig;

@@ -29,7 +29,6 @@
 //!   the pure degradation-ladder branch — so twin guidance can only
 //!   *deviate* from the ladder when a rehearsed future strictly wins.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dcmaint_des::{SimDuration, SimTime};

@@ -9,7 +9,10 @@
 //!
 //! Run with: `cargo run --release --example cleaning_robot`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::faults::EndFace;
 use selfmaint::prelude::*;

@@ -6,7 +6,10 @@
 //!
 //! Run with: `cargo run --release --example failure_injection`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::control::{assess_window, ControllerConfig};
 use selfmaint::net::gen::leaf_spine;

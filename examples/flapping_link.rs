@@ -10,7 +10,10 @@
 //!
 //! Run with: `cargo run --release --example flapping_link`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::faults::{FlapPhase, FlapProcess};
 use selfmaint::net::flows::{all_to_all, allocate, tail_latency_multiplier};

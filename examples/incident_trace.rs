@@ -9,7 +9,10 @@
 //!
 //! Run with: `cargo run --release --example incident_trace`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::prelude::*;
 

@@ -12,7 +12,10 @@
 //!
 //! Run with: `cargo run --release --example proactive_campaign`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::control::{ProactiveConfig, ProactivePlanner};
 use selfmaint::faults::diurnal_utilization;

@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::metrics::{fnum, nines, Align, Table};
 use selfmaint::prelude::*;

@@ -7,7 +7,10 @@
 //!
 //! Run with: `cargo run --release --example robot_breakdown`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::faults::RobotFaultConfig;
 use selfmaint::prelude::*;

@@ -10,7 +10,10 @@
 //!
 //! Run with: `cargo run --release --example topology_report`
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
 
 use selfmaint::prelude::*;
 use selfmaint::scenarios::experiments::e8;

@@ -62,16 +62,6 @@
 //!                  # is run A plus the nondet-demo fault injection;
 //!                  # --seed-b compares two seeds instead. Exits 1 when
 //!                  # a divergence is found
-//! selfmaint lint   [--root DIR] [--baseline PATH] [--locks PATH]
-//!                  [--json] [--write-baseline] [--list-rules]
-//!                  [--explain RULE]
-//!                  # dcmaint-lint determinism & hygiene pass: line
-//!                  # rules plus the semantic cross-file family
-//!                  # (event-coverage, rng-stream-discipline,
-//!                  # lock-order vs lint-locks.txt). Exits
-//!                  # nonzero on any non-baseline finding (the same
-//!                  # gate CI runs); --explain RULE prints a rule's
-//!                  # rationale, example, and suppression syntax
 //! selfmaint serve  [--port 0] [--spool DIR] [--checkpoint-hours 24]
 //!                  [--max-queue 64] [--max-attempts 3]
 //!                  [--job-timeout-ms MS] [--port-file PATH]
@@ -90,7 +80,11 @@
 //! and treat an unparseable flag value as a usage error, never a silent
 //! fall-back to the default.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the command line is this binary's interface"
+)]
 
 use selfmaint::bench::{gate, peak_rss_bytes, run_profile, run_suite, ProfileParams, Suite, REPS};
 use selfmaint::ckpt::Snapshot;
@@ -152,11 +146,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
         cmd_bisect,
     ),
     (
-        "lint",
-        "determinism & hygiene static analysis (the CI gate)",
-        cmd_lint,
-    ),
-    (
         "serve",
         "crash-tolerant daemon: durable job queue over TCP, live journal",
         cmd_serve,
@@ -188,10 +177,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-fn cmd_lint(args: &[String]) {
-    std::process::exit(dcmaint_lint::run_cli(args));
 }
 
 /// `selfmaint serve`: run the crash-tolerant maintenance-plane daemon.
@@ -920,7 +905,7 @@ mod tests {
             names,
             [
                 "run", "advise", "topo", "levels", "trace", "sweep", "profile", "bench", "bisect",
-                "lint", "serve"
+                "serve"
             ],
             "subcommand surface changed — update this test and the crate docs"
         );
@@ -934,31 +919,6 @@ mod tests {
             assert!(!desc.is_empty(), "{name} has no description");
             assert!(u.contains(name), "usage text does not list {name}");
             assert!(u.contains(desc), "usage text lost {name}'s description");
-        }
-    }
-
-    /// Dispatcher-sync for `selfmaint lint`: every flag the lint CLI
-    /// parses must appear in this binary's crate-level usage block, so
-    /// `selfmaint lint --help`-style documentation can't drift behind
-    /// the flag surface (the `--locks`/`--explain` additions included).
-    #[test]
-    fn lint_flags_documented_in_dispatcher_usage() {
-        let doc = include_str!("selfmaint.rs");
-        let lint_block: String = doc
-            .lines()
-            .skip_while(|l| !l.contains("selfmaint lint"))
-            .take_while(|l| l.starts_with("//!") && !l.contains("selfmaint serve"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(
-            lint_block.contains("selfmaint lint"),
-            "crate docs lost the `selfmaint lint` usage block"
-        );
-        for flag in dcmaint_lint::CLI_FLAGS {
-            assert!(
-                lint_block.contains(flag),
-                "crate docs' `selfmaint lint` usage is missing {flag}"
-            );
         }
     }
 

@@ -58,7 +58,6 @@
 //! * `incident_trace` — the observability plane: one cascade incident's
 //!   full span tree, journal excerpt, and window decomposition.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dcmaint_autonomic as autonomic;

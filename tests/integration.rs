@@ -1,6 +1,11 @@
 //! Cross-crate integration tests: exercise the public `selfmaint` API
 //! end-to-end, spanning every subsystem the way a downstream user would.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "prints the golden aggregates for a failing run's log"
+)]
+
 use selfmaint::control::{drain, DrainDecision};
 use selfmaint::faults::{contact_set, EndFace};
 use selfmaint::metrics::nines;

@@ -1,21 +1,22 @@
-//! The static determinism gate, as a test: the workspace tree must be
-//! lint-clean (zero non-baseline findings). This is the same check CI
-//! runs via `cargo run -p dcmaint-lint`; running it under `cargo test`
-//! too means a hazard can't land even where CI is skipped.
+//! The static determinism gates, as tests: the workspace tree must be
+//! lint-clean (zero findings), every member must inherit the workspace
+//! lint levels clippy enforces, and the wall clock is read only where
+//! it is sanctioned. The first is the same check CI runs via `cargo run
+//! -p dcmaint-lint`; running it under `cargo test` too means a hazard
+//! can't land even where CI is skipped.
 
 use std::path::Path;
 
-use dcmaint_lint::{classify, lexer, lint_sources_with, walk, FileKind};
+use dcmaint_lint::{classify, lexer, lint_sources, walk, FileKind};
 
 #[test]
 fn workspace_is_lint_clean() {
     // CARGO_MANIFEST_DIR of the root package is the workspace root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let outcome =
-        dcmaint_lint::lint_tree(root, &root.join("lint-baseline.txt")).expect("lint run failed");
+    let outcome = dcmaint_lint::lint_tree(root).expect("lint run failed");
     assert!(
         outcome.clean(),
-        "dcmaint-lint found non-baseline findings:\n{}",
+        "dcmaint-lint found findings:\n{}",
         dcmaint_lint::report::render_text(&outcome)
     );
     assert!(
@@ -24,17 +25,15 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// The wall-clock allow-audit: `lint:allow(wall-clock)` keeps the lint
-/// itself quiet, but every sanctioned consumer is *named here*, so a
-/// new `Instant::now`/`SystemTime` site cannot slip in behind a copied
-/// allow marker — it has to be added to this list in review. The
-/// sanctioned set is the `obs::wall` sanctuary (the one module allowed
-/// to read the clock; the profiler and the bench suite read it through
-/// `WallProfile`) and the daemon edges (the worker's attempt budget and
-/// the client's deadline).
+/// The wall-clock audit: an `#[expect(clippy::disallowed_methods)]`
+/// keeps clippy quiet, but every sanctioned consumer is *named here*,
+/// so a new `Instant::now`/`SystemTime` site cannot slip in behind a
+/// copied expectation — it has to be added to this list in review.
+/// The sanctioned set is `obs::wall` (the profiler and the bench suite
+/// read the clock through `WallProfile`) and the daemon edges (the
+/// worker's attempt budget and the client's deadline).
 #[test]
 fn wall_clock_consumers_are_exactly_the_sanctioned_set() {
-    const SANCTUARY: &str = "crates/obs/src/wall.rs";
     const SANCTIONED: &[&str] = &[
         "crates/obs/src/wall.rs",
         "crates/serve/src/client.rs",
@@ -44,13 +43,14 @@ fn wall_clock_consumers_are_exactly_the_sanctioned_set() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut consumers = Vec::new();
     for rel in walk::workspace_files(root).expect("workspace walk") {
-        // The lint itself skips tests and benches; the audit matches.
+        // Test clocks bound how long a test waits; they carry their
+        // own expectation and are not audited.
         if matches!(classify(&rel), FileKind::Test | FileKind::Bench) {
             continue;
         }
         let src = std::fs::read_to_string(root.join(&rel)).expect("readable source");
-        // Scan over comment/literal-blanked source, exactly like the
-        // lint — pattern strings in the lint's own tables don't count.
+        // Scan over comment/literal-blanked source, so prose and
+        // string literals that name the clock don't count.
         let scan = lexer::scan(&src);
         if ["Instant::now", "SystemTime"]
             .iter()
@@ -64,19 +64,64 @@ fn wall_clock_consumers_are_exactly_the_sanctioned_set() {
         consumers, SANCTIONED,
         "the set of wall-clock consumers changed — if the new site is \
          legitimate (measurement-only, off the deterministic stdout), add \
-         a lint:allow(wall-clock) with a reason AND list it here"
+         an #[expect(clippy::disallowed_methods, reason = …)] AND list it here"
     );
 
     for rel in SANCTIONED {
-        if *rel == SANCTUARY {
-            continue;
-        }
         let src = std::fs::read_to_string(root.join(rel)).expect("readable source");
+        // rustfmt splits a long attribute over lines; match it unwrapped.
+        let unwrapped: String = src.split_whitespace().collect();
         assert!(
-            src.contains("lint:allow(wall-clock)"),
-            "{rel} reads the wall clock without a lint:allow(wall-clock) marker"
+            unwrapped.contains("expect(clippy::disallowed_methods"),
+            "{rel} reads the wall clock without an expect(clippy::disallowed_methods) marker"
         );
     }
+}
+
+/// The lint levels clippy enforces (`unsafe_code = "forbid"`, the
+/// print, `dbg!`, disallowed-path and `#[allow]` rules) are declared
+/// once, in the root manifest's `[workspace.lints]`, and bind a package
+/// only when its manifest says `[lints] workspace = true`. A member
+/// that drops the line silently leaves every rule, so the root package
+/// and every `crates/*` member must carry it.
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    fn inherits(manifest: &str) -> bool {
+        let mut in_lints = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_lints = line == "[lints]";
+            } else if in_lints && line.replace(' ', "") == "workspace=true" {
+                return true;
+            }
+        }
+        false
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    assert!(
+        root_manifest.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""),
+        "the root manifest no longer forbids unsafe code for the workspace"
+    );
+    let mut manifests = vec![("Cargo.toml".to_string(), root_manifest)];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let path = entry.expect("crates/ entry").path().join("Cargo.toml");
+        if let Ok(text) = std::fs::read_to_string(&path) {
+            let rel = path.strip_prefix(root).expect("under the root");
+            manifests.push((rel.display().to_string(), text));
+        }
+    }
+    assert!(manifests.len() > 10, "too few manifests — wrong root?");
+    let missing: Vec<&str> = manifests
+        .iter()
+        .filter(|(_, text)| !inherits(text))
+        .map(|(rel, _)| rel.as_str())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "manifests without `[lints] workspace = true`: {missing:?}"
+    );
 }
 
 /// README ↔ registry sync: every rule in `ALL_RULES` must be named in
@@ -99,12 +144,13 @@ fn every_rule_is_named_in_readme() {
 }
 
 // ------------------------------------------------------------------ //
-// Mutation pins for the semantic rule family: a healthy miniature
-// engine tree lints clean, and each contract mutation — dropping a
-// prof_attribution arm, reordering a lock acquisition, drawing on an
-// unnamed stream — produces *exactly one* finding of the matching
-// rule. These pin the rules' sensitivity: a refactor that silently
-// blinds a rule fails here, not in a postmortem.
+// Mutation pins for the semantic rules: a healthy miniature engine
+// tree lints clean, and each contract mutation — dropping a
+// prof_attribution arm, reordering a lock acquisition — produces
+// *exactly one* finding of the matching rule. These pin the rules'
+// sensitivity: a refactor that silently blinds a rule fails here, not
+// in a postmortem. (A draw on an unnamed stream needs no pin: it does
+// not compile — see the `compile_fail` example on `dcmaint_des::Stream`.)
 // ------------------------------------------------------------------ //
 
 const FIX_ENGINE: &str = r#"
@@ -166,17 +212,9 @@ fn semantic_findings(engine: &str, serve: &str) -> Vec<dcmaint_lint::Finding> {
         ),
         ("crates/serve/src/server.rs".to_string(), serve.to_string()),
     ];
-    let outcome = lint_sources_with(&files, None, Some(FIX_LOCKS)).expect("fixture lint");
-    outcome
+    lint_sources(&files, Some(FIX_LOCKS))
+        .expect("fixture lint")
         .findings
-        .into_iter()
-        .filter(|f| {
-            matches!(
-                f.rule,
-                "event-coverage" | "rng-stream-discipline" | "lock-order"
-            )
-        })
-        .collect()
 }
 
 #[test]
@@ -225,20 +263,4 @@ pub fn status(shared: &Shared) -> String {
     );
     assert_eq!(findings[0].rule, "lock-order");
     assert!(findings[0].message.contains("`inner`"));
-}
-
-#[test]
-fn ad_hoc_rng_draw_is_one_finding() {
-    // Mutation: a draw on a receiver that is not a named stream.
-    let engine = FIX_ENGINE.replace(
-        "        let heal = self.hazard.uniform();",
-        "        let heal = self.scratch.uniform();",
-    );
-    let findings = semantic_findings(&engine, FIX_SERVE);
-    assert_eq!(
-        findings.len(),
-        1,
-        "exactly one finding expected, got: {findings:?}"
-    );
-    assert_eq!(findings[0].rule, "rng-stream-discipline");
 }

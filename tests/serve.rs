@@ -30,7 +30,10 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Start the daemon binary on `spool`, returning the child and the port
 /// it bound (discovered through `--port-file`).
-#[allow(clippy::zombie_processes)] // the child is returned live; every caller reaps it
+#[expect(
+    clippy::zombie_processes,
+    reason = "the child is returned live; every caller reaps it"
+)]
 fn start_daemon(spool: &Path) -> (Child, u16) {
     let port_file = spool.join("port.txt");
     let _ = std::fs::remove_file(&port_file);
@@ -50,6 +53,7 @@ fn start_daemon(spool: &Path) -> (Child, u16) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn selfmaint serve");
+    #[expect(clippy::disallowed_methods, reason = "a test's wait deadline")]
     let t0 = std::time::Instant::now();
     loop {
         if let Ok(text) = std::fs::read_to_string(&port_file) {

@@ -87,11 +87,6 @@ impl Predictor {
         self.seen += 1;
     }
 
-    /// Training examples consumed.
-    pub fn examples_seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Re-anchor the intercept to an externally estimated base failure
     /// rate (the autonomic plane's drift estimator feeds this).
     ///

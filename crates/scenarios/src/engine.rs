@@ -93,7 +93,6 @@ pub(crate) enum Ev {
     /// A scripted (failure-injection) incident fires.
     Scripted { link: LinkId, cause: RootCause },
     /// Resolve a prediction label after the horizon.
-    // lint:allow(event-coverage): label resolution is pure training bookkeeping; its outcome surfaces in the prediction metrics at finish(), not as a journal event
     PredictiveLabel {
         link: LinkId,
         features: [f64; FEATURE_DIM],
@@ -119,6 +118,13 @@ impl Ev {
     /// registry keys for the deterministic per-kind and per-subsystem
     /// counts. Subsystem names come from [`dcmaint_obs::prof::SUBSYSTEMS`];
     /// the event's kind name is the per-kind key's `prof/ev/` suffix.
+    ///
+    /// A variant without an arm is rustc error E0004; the two denied
+    /// lints reject a `_` arm that would file it under another's.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn prof_attribution(&self) -> (&'static str, &'static str, &'static str) {
         match self {
             Ev::Fault => ("faults", "prof/ev/fault", "prof/sub/faults"),
@@ -3226,5 +3232,99 @@ mod tests {
             .iter()
             .all(|(k, _)| !k.starts_with(dcmaint_obs::prof::PROF_PREFIX)));
         assert!(obs.prof_wall.is_empty());
+    }
+
+    // ----- emission audit --------------------------------------------
+
+    /// Why an event kind writes neither a journal line nor a trace
+    /// event, or `None` if its handler emits. Exhaustive with the same
+    /// two lints denied as `prof_attribution`, so a new variant does
+    /// not compile until it is classified here.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn silent_because(ev: &Ev) -> Option<&'static str> {
+        match ev {
+            Ev::SelfHeal { .. } | Ev::Flap { .. } | Ev::BurstEnd { .. } => {
+                Some("changes link state, which the next poll's alert and ticket journal")
+            }
+            Ev::ProactiveScan => Some("only paces ProactiveOpen items, and those emit"),
+            Ev::PredictiveLabel { .. } => Some(
+                "label resolution is pure training bookkeeping; its outcome \
+                 surfaces in the prediction metrics at finish()",
+            ),
+            Ev::Fault
+            | Ev::LatentManifest { .. }
+            | Ev::Poll
+            | Ev::Dispatch { .. }
+            | Ev::RepairStart { .. }
+            | Ev::RepairDone { .. }
+            | Ev::VerifyDone { .. }
+            | Ev::ProactiveOpen { .. }
+            | Ev::PredictiveScan
+            | Ev::AutonomicTick
+            | Ev::Scripted { .. }
+            | Ev::OpStalled { .. }
+            | Ev::OpAborted { .. }
+            | Ev::WatchdogFired { .. }
+            | Ev::RobotRecovered { .. } => None,
+        }
+    }
+
+    #[test]
+    fn every_event_kind_emits_unless_classified_silent() {
+        use crate::config::ScriptedIncident;
+        // One run that dispatches every kind: L4's proactive and
+        // predictive loops, robot chaos (stalls, aborts, watchdogs,
+        // breakdowns), the autonomic loop and three scripted incidents.
+        let mut cfg = small_obs(12, AutomationLevel::L4, 30);
+        cfg.robot_faults = dcmaint_faults::RobotFaultConfig::chaos();
+        cfg.autonomic = Some(dcmaint_autonomic::AutonomicConfig::default());
+        cfg.scripted = (0..3)
+            .map(|i| ScriptedIncident {
+                at: SimTime::ZERO + SimDuration::from_hours(2 + i as u64),
+                link_index: 3 * i,
+                cause: RootCause::OxidizedContact,
+            })
+            .collect();
+        let mut eng = Engine::new(cfg);
+        // What the run has written so far: journal lines, then traces,
+        // closed traces and spans (every trace write adds a span).
+        let written = |eng: &Engine| {
+            let traces = eng.traces.all();
+            (
+                eng.journal.counts().0,
+                traces.len(),
+                traces.iter().filter(|t| t.closed.is_some()).count(),
+                traces.iter().map(|t| t.spans().len()).sum::<usize>(),
+            )
+        };
+        // kind → (silent reason, dispatches, dispatches that wrote).
+        let mut kinds: BTreeMap<&'static str, (Option<&'static str>, u64, u64)> = BTreeMap::new();
+        let mut before = written(&eng);
+        // Read each event off the queue head before it is dispatched.
+        while let Some((_, ev)) = eng.sched.peek() {
+            let (_, ev_key, _) = ev.prof_attribution();
+            let silent = silent_because(ev);
+            let kind = kinds
+                .entry(&ev_key["prof/ev/".len()..])
+                .or_insert((silent, 0, 0));
+            eng.step_event();
+            let after = written(&eng);
+            kind.1 += 1;
+            kind.2 += u64::from(after != before);
+            before = after;
+        }
+        assert_eq!(kinds.len(), 20, "kinds dispatched: {:?}", kinds.keys());
+        for (kind, &(silent, dispatched, wrote)) in &kinds {
+            match silent {
+                None => assert!(wrote > 0, "{kind}: {dispatched} dispatches, none emitted"),
+                Some(why) => assert_eq!(
+                    wrote, 0,
+                    "{kind} is classified silent ({why}), yet {wrote} of {dispatched} dispatches emitted"
+                ),
+            }
+        }
     }
 }

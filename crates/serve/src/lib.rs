@@ -44,6 +44,7 @@ use dcmaint_des::SimDuration;
 pub mod client;
 pub mod fanout;
 pub mod http;
+pub mod lock;
 pub mod queue;
 pub mod server;
 pub mod spec;

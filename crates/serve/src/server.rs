@@ -15,18 +15,19 @@
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dcmaint_obs::ObsRegistry;
 use serde_json::json;
 
-use crate::fanout::Fanout;
 use crate::http::{read_request, respond, start_stream, HttpError, Request};
+use crate::lock::{self, Inner, Shared, Unlocked};
 use crate::queue::Spool;
 use crate::spec::JobSpec;
-use crate::worker::{run_worker, Inner, JobRecord, JobState, Shared};
+use crate::worker::{run_worker, JobRecord, JobState};
 use crate::ServeConfig;
 
 /// Seconds clients are told to wait after a 503.
@@ -68,43 +69,34 @@ impl Server {
                 },
             );
         }
-        let recovered = queue.len();
+        let mut registry = ObsRegistry::enabled();
+        if !queue.is_empty() {
+            registry.add("serve/jobs-recovered", queue.len() as u64);
+        }
 
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let port = listener.local_addr()?.port();
         listener.set_nonblocking(true)?;
 
-        let fanout = Arc::new(Fanout::new(cfg.ring_capacity));
-        let shared = Arc::new(Shared {
+        let shared = Arc::new(Shared::new(
             cfg,
             spool,
-            fanout,
-            registry: Mutex::new(ObsRegistry::enabled()),
-            profiles: Mutex::new(std::collections::BTreeMap::new()),
-            inner: Mutex::new(Inner {
+            Inner {
                 queue,
                 jobs,
                 next_id: state.next_id,
-                draining: false,
-                worker_stopped: false,
-            }),
-            cv: Condvar::new(),
-        });
-        if recovered > 0 {
-            shared
-                .registry
-                .lock()
-                .expect("registry lock")
-                .add("serve/jobs-recovered", recovered as u64);
-        }
+                registry,
+                profiles: std::collections::BTreeMap::new(),
+            },
+        ));
 
         let worker = {
             let shared = shared.clone();
-            std::thread::spawn(move || run_worker(&shared))
+            lock::spawn(move |t| run_worker(&shared, t))
         };
         let accept = {
             let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(&shared, listener))
+            lock::spawn(move |_| accept_loop(&shared, listener))
         };
         Ok(Server {
             shared,
@@ -131,8 +123,8 @@ impl Server {
     }
 }
 
-fn begin_drain(shared: &Arc<Shared>) {
-    shared.inner.lock().expect("serve lock").draining = true;
+fn begin_drain(shared: &Shared) {
+    shared.draining.store(true, Ordering::SeqCst);
     shared.cv.notify_all();
 }
 
@@ -141,24 +133,23 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = shared.clone();
-                std::thread::spawn(move || {
-                    if catch_unwind(AssertUnwindSafe(|| handle_connection(&shared, stream)))
+                lock::spawn(move |t| {
+                    if catch_unwind(AssertUnwindSafe(|| handle_connection(&shared, t, stream)))
                         .is_err()
                     {
-                        shared.count("serve/handler-panics");
+                        shared.count(t, "serve/handler-panics");
                     }
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                let g = shared.inner.lock().expect("serve lock");
-                if g.draining && g.worker_stopped {
-                    drop(g);
+                if shared.draining.load(Ordering::SeqCst)
+                    && shared.worker_stopped.load(Ordering::SeqCst)
+                {
                     // No more lines will ever be published; release any
                     // blocked stream subscribers.
                     shared.fanout.close();
                     return;
                 }
-                drop(g);
                 std::thread::sleep(Duration::from_millis(25));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
@@ -166,7 +157,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn handle_connection(shared: &Shared, t: &mut Unlocked, stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -175,9 +166,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     });
     let mut writer = stream;
     match read_request(&mut reader) {
-        Ok(req) => route(shared, &req, &mut writer),
+        Ok(req) => route(shared, t, &req, &mut writer),
         Err(HttpError::Bad(msg)) => {
-            shared.count("serve/bad-requests");
+            shared.count(t, "serve/bad-requests");
             let _ = respond(
                 &mut writer,
                 400,
@@ -190,19 +181,19 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-fn route(shared: &Arc<Shared>, req: &Request, w: &mut TcpStream) {
+fn route(shared: &Shared, t: &mut Unlocked, req: &Request, w: &mut TcpStream) {
     let path = req.path.as_str();
     match (req.method.as_str(), path) {
-        ("POST", "/v1/jobs") => post_job(shared, req, w),
+        ("POST", "/v1/jobs") => post_job(shared, t, req, w),
         ("POST", "/v1/shutdown") => {
             begin_drain(shared);
-            shared.count("serve/shutdowns");
+            shared.count(t, "serve/shutdowns");
             let _ = json_response(w, 200, &json!({ "draining": true }));
         }
-        ("GET", "/v1/stream") => stream_journal(shared, w),
-        ("GET", "/status") => status(shared, w),
-        ("GET", "/metrics") => metrics(shared, w),
-        ("GET", _) if path.starts_with("/v1/jobs/") => job_get(shared, path, w),
+        ("GET", "/v1/stream") => stream_journal(shared, t, w),
+        ("GET", "/status") => status(shared, t, w),
+        ("GET", "/metrics") => metrics(shared, t, w),
+        ("GET", _) if path.starts_with("/v1/jobs/") => job_get(shared, t, path, w),
         (_, "/v1/jobs" | "/v1/shutdown" | "/v1/stream" | "/status" | "/metrics") => {
             let _ = json_response(w, 405, &json!({ "error": "method not allowed" }));
         }
@@ -225,19 +216,19 @@ fn json_response(w: &mut TcpStream, status: u16, body: &serde_json::Value) -> io
 /// `POST /v1/jobs`: parse → shed or journal → 202. The ingress append
 /// (and its fsync) happens under the lock so journal order equals id
 /// order; the 202 is not sent until the record is durable.
-fn post_job(shared: &Arc<Shared>, req: &Request, w: &mut TcpStream) {
+fn post_job(shared: &Shared, t: &mut Unlocked, req: &Request, w: &mut TcpStream) {
     let body = String::from_utf8_lossy(&req.body);
     let spec = match JobSpec::parse(body.trim()) {
         Ok(spec) => spec,
         Err(e) => {
-            shared.count("serve/bad-specs");
+            shared.count(t, "serve/bad-specs");
             let _ = json_response(w, 400, &json!({ "error": e }));
             return;
         }
     };
     let accepted = {
-        let mut g = shared.inner.lock().expect("serve lock");
-        if g.draining || g.queue.len() >= shared.cfg.max_queue {
+        let mut g = shared.state(t);
+        if shared.draining.load(Ordering::SeqCst) || g.queue.len() >= shared.cfg.max_queue {
             None
         } else {
             let id = g.next_id;
@@ -263,11 +254,11 @@ fn post_job(shared: &Arc<Shared>, req: &Request, w: &mut TcpStream) {
     match accepted {
         Some(Ok(id)) => {
             shared.cv.notify_all();
-            shared.count("serve/accepted");
+            shared.count(t, "serve/accepted");
             let _ = json_response(w, 202, &json!({ "id": id }));
         }
         Some(Err(())) => {
-            shared.count("serve/spool-errors");
+            shared.count(t, "serve/spool-errors");
             let _ = respond(
                 w,
                 503,
@@ -277,7 +268,7 @@ fn post_job(shared: &Arc<Shared>, req: &Request, w: &mut TcpStream) {
             );
         }
         None => {
-            shared.count("serve/rejected-full");
+            shared.count(t, "serve/rejected-full");
             let _ = respond(
                 w,
                 503,
@@ -300,7 +291,7 @@ fn record_json(rec: &JobRecord) -> serde_json::Value {
 }
 
 /// `GET /v1/jobs/<id>` and `GET /v1/jobs/<id>/output`.
-fn job_get(shared: &Arc<Shared>, path: &str, w: &mut TcpStream) {
+fn job_get(shared: &Shared, t: &mut Unlocked, path: &str, w: &mut TcpStream) {
     let rest = path.strip_prefix("/v1/jobs/").expect("router checked");
     let (id_s, want_output) = match rest.strip_suffix("/output") {
         Some(id_s) => (id_s, true),
@@ -310,13 +301,7 @@ fn job_get(shared: &Arc<Shared>, path: &str, w: &mut TcpStream) {
         let _ = json_response(w, 404, &json!({ "error": "bad job id" }));
         return;
     };
-    let rec = shared
-        .inner
-        .lock()
-        .expect("serve lock")
-        .jobs
-        .get(&id)
-        .cloned();
+    let rec = shared.state(t).jobs.get(&id).cloned();
     let Some(rec) = rec else {
         let _ = json_response(w, 404, &json!({ "error": "no such job" }));
         return;
@@ -347,17 +332,17 @@ fn job_get(shared: &Arc<Shared>, path: &str, w: &mut TcpStream) {
 /// is evicted (connection closed, counter bumped) if it lags the ring or
 /// blocks writes past the timeout — either way the engine and other
 /// subscribers never feel it.
-fn stream_journal(shared: &Arc<Shared>, w: &mut TcpStream) {
+fn stream_journal(shared: &Shared, t: &mut Unlocked, w: &mut TcpStream) {
     if start_stream(w, "application/jsonl").is_err() {
         return;
     }
     let _ = w.set_write_timeout(Some(Duration::from_millis(shared.cfg.write_timeout_ms)));
-    shared.count("serve/stream-subscribers");
+    shared.count(t, "serve/stream-subscribers");
     let mut cursor = shared.fanout.seq();
     loop {
         let p = shared.fanout.poll(cursor, Duration::from_millis(500));
         if p.missed > 0 {
-            shared.count("serve/stream-evicted-lag");
+            shared.count(t, "serve/stream-evicted-lag");
             let _ = w.write_all(
                 format!("{{\"ev\":\"stream-lagged\",\"missed\":{}}}\n", p.missed).as_bytes(),
             );
@@ -365,12 +350,12 @@ fn stream_journal(shared: &Arc<Shared>, w: &mut TcpStream) {
         }
         for line in &p.lines {
             if w.write_all(line.as_bytes()).is_err() || w.write_all(b"\n").is_err() {
-                shared.count("serve/stream-evicted-stall");
+                shared.count(t, "serve/stream-evicted-stall");
                 return;
             }
         }
         if w.flush().is_err() {
-            shared.count("serve/stream-evicted-stall");
+            shared.count(t, "serve/stream-evicted-stall");
             return;
         }
         cursor = p.next;
@@ -382,11 +367,11 @@ fn stream_journal(shared: &Arc<Shared>, w: &mut TcpStream) {
     }
 }
 
-fn status(shared: &Arc<Shared>, w: &mut TcpStream) {
-    let g = shared.inner.lock().expect("serve lock");
+fn status(shared: &Shared, t: &mut Unlocked, w: &mut TcpStream) {
+    let g = shared.state(t);
     let count = |s: JobState| g.jobs.values().filter(|r| r.state == s).count();
     let body = json!({
-        "state": if g.draining { "draining" } else { "running" },
+        "state": if shared.draining.load(Ordering::SeqCst) { "draining" } else { "running" },
         "queued": count(JobState::Queued),
         "running": count(JobState::Running),
         "done": count(JobState::Done),
@@ -403,15 +388,13 @@ fn status(shared: &Arc<Shared>, w: &mut TcpStream) {
 /// (the historical format scripts grep), followed by Prometheus-style
 /// text exposition of the engine profiles of finished `profile=1` jobs
 /// — counters and histograms labeled by job id.
-fn metrics(shared: &Arc<Shared>, w: &mut TcpStream) {
-    let reg = shared.registry.lock().expect("registry lock");
+fn metrics(shared: &Shared, t: &mut Unlocked, w: &mut TcpStream) {
+    let g = shared.state(t);
     let mut body = String::new();
-    for (name, value) in reg.counters_sorted() {
+    for (name, value) in g.registry.counters_sorted() {
         body.push_str(&format!("{name} {value}\n"));
     }
-    drop(reg);
-
-    let profiles = shared.profiles.lock().expect("profiles lock");
+    let profiles = &g.profiles;
     if !profiles.is_empty() {
         body.push_str(
             "# HELP selfmaint_engine_prof_total engine self-profiler counter of a finished job\n\
@@ -444,6 +427,6 @@ fn metrics(shared: &Arc<Shared>, w: &mut TcpStream) {
             }
         }
     }
-    drop(profiles);
+    drop(g);
     let _ = respond(w, 200, "text/plain", &[], body.as_bytes());
 }

@@ -20,9 +20,8 @@
 //! SIGKILLed mid-attempt) still converges: the next process reads the
 //! counter and continues the same ladder.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use dcmaint_ckpt::Snapshot;
@@ -32,8 +31,7 @@ use dcmaint_scenarios::sweep::{failures_table, run_engine_sweep, EngineSweepPara
 use dcmaint_scenarios::Engine;
 use maintctl::AutomationLevel;
 
-use crate::fanout::Fanout;
-use crate::queue::Spool;
+use crate::lock::{Shared, Unlocked};
 use crate::spec::{Boom, JobKind, JobSpec};
 use crate::ServeConfig;
 
@@ -81,22 +79,6 @@ pub struct JobRecord {
     pub message: String,
 }
 
-/// Mutable daemon state behind the lock.
-#[derive(Debug)]
-pub struct Inner {
-    /// Pending job ids, accepted order.
-    pub queue: VecDeque<u64>,
-    /// Every job this daemon knows about.
-    pub jobs: BTreeMap<u64, JobRecord>,
-    /// Id the next accepted job gets.
-    pub next_id: u64,
-    /// Graceful shutdown requested: shed new work, park the current job
-    /// at its next quantum, stop.
-    pub draining: bool,
-    /// The worker thread has exited.
-    pub worker_stopped: bool,
-}
-
 /// The engine profile of one finished `profile=1` job, held in memory
 /// for `/metrics` exposition. Not persisted: a daemon restart recovers
 /// the job as done without re-running it, so its profile is gone —
@@ -110,33 +92,8 @@ pub struct JobProfile {
     pub histograms: Vec<(String, String, u64, u64)>,
 }
 
-/// State shared by the front end, the worker, and the supervisor.
-pub struct Shared {
-    /// Daemon knobs.
-    pub cfg: ServeConfig,
-    /// Durable queue.
-    pub spool: Spool,
-    /// Live journal broadcast.
-    pub fanout: Arc<Fanout>,
-    /// Serve-plane counters (`/metrics`).
-    pub registry: Mutex<ObsRegistry>,
-    /// Engine profiles of finished `profile=1` jobs, by job id.
-    pub profiles: Mutex<BTreeMap<u64, JobProfile>>,
-    /// Job table + queue.
-    pub inner: Mutex<Inner>,
-    /// Wakes the worker on submit/drain.
-    pub cv: Condvar,
-}
-
-impl Shared {
-    /// Bump a serve-plane counter.
-    pub fn count(&self, name: &'static str) {
-        self.registry.lock().expect("registry lock").inc(name);
-    }
-}
-
 /// Hold a finished job's engine-profile registry for `/metrics`.
-fn stash_profile(shared: &Arc<Shared>, id: u64, reg: &ObsRegistry) {
+fn stash_profile(shared: &Shared, t: &mut Unlocked, id: u64, reg: &ObsRegistry) {
     let counters = reg
         .counters_sorted()
         .into_iter()
@@ -154,7 +111,7 @@ fn stash_profile(shared: &Arc<Shared>, id: u64, reg: &ObsRegistry) {
             )
         })
         .collect();
-    shared.profiles.lock().expect("profiles lock").insert(
+    shared.state(t).profiles.insert(
         id,
         JobProfile {
             counters,
@@ -176,15 +133,13 @@ enum Attempt {
 }
 
 /// The worker thread body: consume the queue until drained.
-pub fn run_worker(shared: &Arc<Shared>) {
+pub fn run_worker(shared: &Shared, t: &mut Unlocked) {
     loop {
         let job = {
-            let mut g = shared.inner.lock().expect("serve lock");
+            let mut g = shared.state(t);
             loop {
-                if g.draining {
-                    g.worker_stopped = true;
-                    drop(g);
-                    shared.cv.notify_all();
+                if shared.draining.load(Ordering::SeqCst) {
+                    shared.worker_stopped.store(true, Ordering::SeqCst);
                     return;
                 }
                 if let Some(id) = g.queue.pop_front() {
@@ -193,7 +148,8 @@ pub fn run_worker(shared: &Arc<Shared>) {
                     break rec.clone();
                 }
                 // Bounded wait so drain requests are observed promptly
-                // even with no traffic.
+                // even with no traffic, or when one lands between the
+                // check above and this wait.
                 let (guard, _) = shared
                     .cv
                     .wait_timeout(g, Duration::from_millis(100))
@@ -201,22 +157,19 @@ pub fn run_worker(shared: &Arc<Shared>) {
                 g = guard;
             }
         };
-        run_job(shared, &job);
+        run_job(shared, t, &job);
     }
 }
 
 /// Drive one job through its attempt ladder to a terminal state.
-fn run_job(shared: &Arc<Shared>, job: &JobRecord) {
+fn run_job(shared: &Shared, t: &mut Unlocked, job: &JobRecord) {
     let max_attempts = shared.cfg.max_attempts.max(1);
     loop {
         let attempts = shared.spool.read_attempts(job.id);
-        {
-            let mut g = shared.inner.lock().expect("serve lock");
-            if let Some(rec) = g.jobs.get_mut(&job.id) {
-                rec.attempts = attempts;
-            }
+        if let Some(rec) = shared.state(t).jobs.get_mut(&job.id) {
+            rec.attempts = attempts;
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| attempt(shared, job, attempts)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| attempt(shared, t, job, attempts)));
         let failure = match outcome {
             Ok(Attempt::Finished(output)) => {
                 let io = shared
@@ -226,25 +179,25 @@ fn run_job(shared: &Arc<Shared>, job: &JobRecord) {
                 match io {
                     Ok(()) => {
                         shared.spool.clear_recovery(job.id);
-                        finish(shared, job.id, JobState::Done, String::new());
-                        shared.count("serve/jobs-done");
+                        finish(shared, t, job.id, JobState::Done, String::new());
+                        shared.count(t, "serve/jobs-done");
                         return;
                     }
                     Err(e) => format!("spool write failed: {e}"),
                 }
             }
             Ok(Attempt::Parked) => {
-                finish(shared, job.id, JobState::Parked, String::new());
-                shared.count("serve/jobs-parked");
+                finish(shared, t, job.id, JobState::Parked, String::new());
+                shared.count(t, "serve/jobs-parked");
                 return;
             }
             Ok(Attempt::TimedOut) => {
-                shared.count("serve/attempt-timeouts");
+                shared.count(t, "serve/attempt-timeouts");
                 format!("attempt {} exceeded the wall-clock budget", attempts + 1)
             }
             Ok(Attempt::Io(msg)) => msg,
             Err(payload) => {
-                shared.count("serve/worker-panics");
+                shared.count(t, "serve/worker-panics");
                 format!("panic: {}", panic_message(&*payload))
             }
         };
@@ -256,11 +209,11 @@ fn run_job(shared: &Arc<Shared>, job: &JobRecord) {
             let msg = format!("failed after {next} attempt(s): {failure}");
             let _ = shared.spool.append_done(job.id, false, &msg);
             shared.spool.clear_recovery(job.id);
-            finish(shared, job.id, JobState::Failed, msg);
-            shared.count("serve/jobs-failed");
+            finish(shared, t, job.id, JobState::Failed, msg);
+            shared.count(t, "serve/jobs-failed");
             return;
         }
-        shared.count("serve/attempt-restarts");
+        shared.count(t, "serve/attempt-restarts");
         std::thread::sleep(restart_pause(&shared.cfg, job, attempts));
     }
 }
@@ -274,15 +227,12 @@ fn restart_pause(cfg: &ServeConfig, job: &JobRecord, attempts: u32) -> Duration 
     Duration::from_millis((capped * (0.5 + rng.uniform())) as u64)
 }
 
-fn finish(shared: &Arc<Shared>, id: u64, state: JobState, message: String) {
-    let mut g = shared.inner.lock().expect("serve lock");
-    if let Some(rec) = g.jobs.get_mut(&id) {
+fn finish(shared: &Shared, t: &mut Unlocked, id: u64, state: JobState, message: String) {
+    if let Some(rec) = shared.state(t).jobs.get_mut(&id) {
         rec.state = state;
         rec.message = message;
         rec.attempts = shared.spool.read_attempts(id);
     }
-    drop(g);
-    shared.cv.notify_all();
 }
 
 /// Best-effort text of a panic payload (same idiom as the sweep pool).
@@ -297,16 +247,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One attempt of one job.
-fn attempt(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt {
+fn attempt(shared: &Shared, t: &mut Unlocked, job: &JobRecord, attempts: u32) -> Attempt {
     match job.spec.kind {
-        JobKind::Run => attempt_run(shared, job, attempts),
-        JobKind::Sweep => attempt_sweep(shared, job),
+        JobKind::Run => attempt_run(shared, t, job, attempts),
+        JobKind::Sweep => attempt_sweep(shared, t, job),
     }
 }
 
 /// One attempt of a `kind=run` job: quantum loop with snapshot-then-
 /// publish at every cut.
-fn attempt_run(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt {
+fn attempt_run(shared: &Shared, t: &mut Unlocked, job: &JobRecord, attempts: u32) -> Attempt {
     let spec = &job.spec;
     let cfg = spec.scenario_config();
     let end = SimTime::ZERO + cfg.duration;
@@ -329,11 +279,11 @@ fn attempt_run(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt 
             .and_then(|snap| Engine::restore(cfg.clone(), &snap).ok())
         {
             Some(eng) => {
-                shared.count("serve/attempt-resumes");
+                shared.count(t, "serve/attempt-resumes");
                 eng
             }
             None => {
-                shared.count("serve/ckpt-discarded");
+                shared.count(t, "serve/ckpt-discarded");
                 Engine::new(cfg)
             }
         },
@@ -370,7 +320,7 @@ fn attempt_run(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt 
             return Attempt::Io(format!("cannot write job checkpoint: {e}"));
         }
         seen = publish_tail(shared, &journal, seen);
-        if shared.inner.lock().expect("serve lock").draining {
+        if shared.draining.load(Ordering::SeqCst) {
             return Attempt::Parked;
         }
         if let Some(budget) = shared.cfg.job_timeout_ms {
@@ -383,7 +333,7 @@ fn attempt_run(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt 
     let mut report = eng.finish_report();
     if spec.profile {
         if let Some(obs) = report.obs.as_ref() {
-            stash_profile(shared, job.id, &obs.registry);
+            stash_profile(shared, t, job.id, &obs.registry);
         }
     }
     publish_tail(shared, &journal, seen);
@@ -393,7 +343,7 @@ fn attempt_run(shared: &Arc<Shared>, job: &JobRecord, attempts: u32) -> Attempt 
 }
 
 /// Publish fresh journal lines to the fan-out; returns the new cursor.
-fn publish_tail(shared: &Arc<Shared>, journal: &dcmaint_obs::Journal, seen: u64) -> u64 {
+fn publish_tail(shared: &Shared, journal: &dcmaint_obs::Journal, seen: u64) -> u64 {
     let (lines, emitted, missed) = journal.tail(seen);
     if missed > 0 {
         shared
@@ -412,7 +362,7 @@ fn publish_tail(shared: &Arc<Shared>, journal: &dcmaint_obs::Journal, seen: u64)
 /// only the remainder runs. Its journal arrives at completion (sweep
 /// replicates run concurrently; interleaved live lines would not be
 /// deterministic).
-fn attempt_sweep(shared: &Arc<Shared>, job: &JobRecord) -> Attempt {
+fn attempt_sweep(shared: &Shared, t: &mut Unlocked, job: &JobRecord) -> Attempt {
     let spec = &job.spec;
     let params = EngineSweepParams {
         base_seed: spec.seed,
@@ -440,7 +390,7 @@ fn attempt_sweep(shared: &Arc<Shared>, job: &JobRecord) -> Attempt {
     let outcome = run_engine_sweep(&params);
     if spec.profile {
         if let Some(reg) = &outcome.registry {
-            stash_profile(shared, job.id, reg);
+            stash_profile(shared, t, job.id, reg);
         }
     }
     for line in &outcome.journal {

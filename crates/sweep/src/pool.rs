@@ -11,13 +11,16 @@
 //! Two properties the sweep engine's determinism contract leans on:
 //!
 //! * **Completion order is irrelevant.** Every job carries its plan
-//!   index; the pool records completions as they happen and hands them to
-//!   [`merge_canonical`](crate::merge_canonical), which restores plan
-//!   order. Output is byte-identical for 1 worker or N.
+//!   index; each worker returns its completions through its join handle,
+//!   and [`merge_canonical`](crate::merge_canonical) restores plan order.
+//!   Output is byte-identical for 1 worker or N.
 //! * **Panics are contained.** Each job runs under `catch_unwind`; a
 //!   panicking job becomes an `Err(JobError)` in its result slot instead
 //!   of poisoning a lock or hanging the pool. The panic payload's message
 //!   is preserved so the failure is attributable.
+//!
+//! The deques are the pool's only locks, each taken as a statement
+//! temporary, one at a time: no thread ever holds two.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,6 +71,37 @@ where
     Completed { index, result }
 }
 
+/// A deque is locked only for one push or pop, never across a job, so
+/// no panic can poison it.
+const DEQUE: &str = "deque lock";
+
+/// One worker's share of the pool: its own deque first (front), then
+/// steals round-robin (back). When every deque is empty the remaining
+/// jobs already belong to other workers, so it retires and returns what
+/// it completed.
+fn work<T, F>(deques: &[Mutex<VecDeque<(usize, F)>>], me: usize) -> Vec<Completed<T>>
+where
+    F: FnOnce() -> T,
+{
+    let mut done = Vec::new();
+    loop {
+        let mut task = deques[me].lock().expect(DEQUE).pop_front();
+        if task.is_none() {
+            for k in 1..deques.len() {
+                let victim = (me + k) % deques.len();
+                task = deques[victim].lock().expect(DEQUE).pop_back();
+                if task.is_some() {
+                    break;
+                }
+            }
+        }
+        let Some((index, job)) = task else {
+            return done;
+        };
+        done.push(run_one(index, job));
+    }
+}
+
 /// Run `jobs` on `workers` threads and return their results **in plan
 /// order**, one slot per job. `workers <= 1` (or a single job) runs
 /// inline on the caller's thread with the same panic containment.
@@ -95,38 +129,18 @@ where
     let deques: Vec<Mutex<VecDeque<(usize, F)>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % workers].lock().unwrap().push_back((i, job));
+        deques[i % workers].lock().expect(DEQUE).push_back((i, job));
     }
-    let completions: Mutex<Vec<Completed<T>>> = Mutex::new(Vec::with_capacity(n));
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let completions = &completions;
-            scope.spawn(move || loop {
-                // Own deque first (front), then steal round-robin (back).
-                let mut task = deques[me].lock().unwrap().pop_front();
-                if task.is_none() {
-                    for k in 1..deques.len() {
-                        let victim = (me + k) % deques.len();
-                        task = deques[victim].lock().unwrap().pop_back();
-                        if task.is_some() {
-                            break;
-                        }
-                    }
-                }
-                let Some((index, job)) = task else {
-                    // All deques empty: remaining jobs are already owned
-                    // by other workers. Retire.
-                    return;
-                };
-                let done = run_one(index, job);
-                completions.lock().unwrap().push(done);
-            });
-        }
+    let deques = &deques;
+    let done: Vec<Completed<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|me| scope.spawn(move || work(deques, me)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("jobs run under catch_unwind"))
+            .collect()
     });
-
-    let done = completions.into_inner().unwrap();
     debug_assert_eq!(done.len(), n);
     merge_canonical(done)
 }

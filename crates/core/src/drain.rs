@@ -16,8 +16,12 @@
 //! produces a [`PreContactAnnouncement`] the network control plane
 //! applies before anyone touches hardware. After repair, the drain is
 //! released and a verification soak runs.
+//!
+//! Each check is one [`connected_pairs`] call: the links drained so far
+//! are an overlay on the live state, and one component labelling
+//! answers every sampled pair.
 
-use dcmaint_dcnet::routing::pair_connectivity;
+use dcmaint_dcnet::routing::connected_pairs;
 use dcmaint_dcnet::{AdminState, LinkId, NetState, NodeId, Topology};
 use dcmaint_des::SimDuration;
 use dcmaint_faults::contact_set;
@@ -93,15 +97,13 @@ pub fn plan(
     service_pairs: &[(NodeId, NodeId)],
 ) -> DrainDecision {
     let contacts = contact_set(topo, target);
-    let before = pair_connectivity(topo, state, service_pairs);
+    let before = connected_pairs(topo, state, &[], service_pairs);
     // The target itself must be drainable; if not, defer the repair (the
     // fine-grained timing control §2 argues for).
-    let mut trial = state.clone();
-    trial.set_admin(target, AdminState::Drained);
-    if pair_connectivity(topo, &trial, service_pairs) < before {
+    let mut to_drain = vec![target];
+    if connected_pairs(topo, state, &to_drain, service_pairs) < before {
         return DrainDecision::Defer { blocking: target };
     }
-    let mut to_drain = vec![target];
     if clumsy_actor && cfg.drain_contacts_for_humans {
         // Best-effort neighbor drains: protect as many contacts as the
         // fabric's redundancy allows. A neighbor whose drain would
@@ -112,11 +114,9 @@ pub fn plan(
             if to_drain.len() > cfg.max_drained_neighbors {
                 break;
             }
-            trial.set_admin(nb, AdminState::Drained);
-            if pair_connectivity(topo, &trial, service_pairs) < before {
-                trial.set_admin(nb, state.link(nb).admin);
-            } else {
-                to_drain.push(nb);
+            to_drain.push(nb);
+            if connected_pairs(topo, state, &to_drain, service_pairs) < before {
+                to_drain.pop();
             }
         }
     }
@@ -303,7 +303,7 @@ mod tests {
             }
         }
         // Connectivity still intact while drained (that was the check).
-        assert_eq!(pair_connectivity(&t, &s, &pairs), 1.0);
+        assert_eq!(connected_pairs(&t, &s, &[], &pairs), pairs.len());
         release(&mut s, &ann);
         for &d in &ann.drained {
             assert_eq!(s.link(d).admin, AdminState::InService);

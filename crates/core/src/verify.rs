@@ -17,7 +17,7 @@
 //! * **capacity headroom** — worst pairwise ECMP-path-count reduction,
 //!   a cheap proxy for throughput degradation during the window.
 
-use dcmaint_dcnet::routing::{connected, ecmp_path_count, pair_connectivity};
+use dcmaint_dcnet::routing::{connected_pairs, ecmp_path_count};
 use dcmaint_dcnet::{AdminState, LinkId, NetState, NodeId, Topology};
 use dcmaint_des::SimDuration;
 
@@ -48,10 +48,10 @@ impl WindowRisk {
 /// Assess the vulnerability window created by draining `drained` for
 /// `window` while the fabric is in `state`.
 ///
-/// Cost: O(|drained-state BFS| × (pairs + candidate links)). Candidate
-/// links for the single-fault check are restricted to links on the
-/// sampled pairs' current paths — a link off every path cannot
-/// disconnect them.
+/// Cost: one [`connected_pairs`] labelling per link still routable
+/// under the drain, plus two ECMP path counts per sampled pair. Every
+/// such link is a candidate for the single-fault check, tested as one
+/// more link on top of `drained`.
 pub fn assess_window(
     topo: &Topology,
     state: &NetState,
@@ -59,17 +59,14 @@ pub fn assess_window(
     window: SimDuration,
     service_pairs: &[(NodeId, NodeId)],
 ) -> WindowRisk {
-    // Build the what-if state.
+    let kept = connected_pairs(topo, state, drained, service_pairs);
+    let disconnected_pairs = service_pairs.len() - kept;
+
+    // Path-diversity ratio, on the what-if state.
     let mut whatif = state.clone();
     for &l in drained {
         whatif.set_admin(l, AdminState::Drained);
     }
-    let disconnected_pairs = service_pairs
-        .iter()
-        .filter(|&&(a, b)| !connected(topo, &whatif, a, b))
-        .count();
-
-    // Path-diversity ratio.
     let mut worst_ratio: f64 = 1.0;
     for &(a, b) in service_pairs {
         let before = ecmp_path_count(topo, state, a, b);
@@ -80,25 +77,16 @@ pub fn assess_window(
         worst_ratio = worst_ratio.min(after as f64 / before as f64);
     }
 
-    // Single-fault exposure: try failing each candidate link on top of
-    // the drain. Candidates: routable links touching any sampled pair's
-    // connectivity — approximated as all routable links of the (small)
-    // fabric neighborhood: links adjacent to pair endpoints plus all
-    // inter-switch links that remain routable.
-    let mut candidates: Vec<LinkId> = topo
-        .link_ids()
-        .filter(|&l| whatif.link(l).routable())
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let before = pair_connectivity(topo, &whatif, service_pairs);
+    // Single-fault exposure: fail each link the drain leaves routable,
+    // on top of the drain.
+    let mut trial = drained.to_vec();
     let mut exposed = Vec::new();
-    for &l in &candidates {
-        let mut trial = whatif.clone();
-        trial.set_admin(l, AdminState::Drained);
-        if pair_connectivity(topo, &trial, service_pairs) < before {
+    for l in topo.link_ids().filter(|&l| whatif.link(l).routable()) {
+        trial.push(l);
+        if connected_pairs(topo, state, &trial, service_pairs) < kept {
             exposed.push(l);
         }
+        trial.pop();
     }
     WindowRisk {
         disconnected_pairs,

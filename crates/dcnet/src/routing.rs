@@ -3,7 +3,12 @@
 //! The experiments need three routing questions answered, all against the
 //! *current* [`NetState`] (down/drained links excluded):
 //!
-//! 1. Is this server pair connected at all? → availability accounting.
+//! 1. Which sampled server pairs stay connected, optionally with a few
+//!    more links taken out? → availability accounting and every drain
+//!    what-if. [`connected_pairs`] labels the connected components once
+//!    and compares labels, so a check costs one graph traversal however
+//!    many pairs it asks about, and a trial drain is an overlay on the
+//!    live state rather than a clone of it.
 //! 2. Which links does a flow between two nodes traverse? → flow model.
 //! 3. How much path diversity survives? → drain-impact estimates used by
 //!    the control plane before approving maintenance.
@@ -128,11 +133,48 @@ pub fn pair_connectivity(topo: &Topology, state: &NetState, pairs: &[(NodeId, No
     if pairs.is_empty() {
         return 1.0;
     }
-    let ok = pairs
-        .iter()
-        .filter(|&&(a, b)| connected(topo, state, a, b))
-        .count();
-    ok as f64 / pairs.len() as f64
+    connected_pairs(topo, state, &[], pairs) as f64 / pairs.len() as f64
+}
+
+/// How many of `pairs` are connected over the routable links once the
+/// links in `without` are taken out as well: the what-if behind every
+/// drain check. Components are labelled by a flood from each pair
+/// endpoint not yet labelled, so a pair is connected exactly when its
+/// two ends share a label, and the cost is one traversal of the
+/// components the pairs touch. A pair `(a, a)` counts as connected.
+pub fn connected_pairs(
+    topo: &Topology,
+    state: &NetState,
+    without: &[LinkId],
+    pairs: &[(NodeId, NodeId)],
+) -> usize {
+    let mut usable: Vec<bool> = topo.link_ids().map(|l| state.link(l).routable()).collect();
+    for &l in without {
+        usable[l.index()] = false;
+    }
+    let mut label = vec![u32::MAX; topo.node_count()];
+    let mut stack = Vec::new();
+    let mut next = 0;
+    let mut count = 0;
+    for &(a, b) in pairs {
+        if label[a.index()] == u32::MAX {
+            label[a.index()] = next;
+            stack.push(a);
+            while let Some(n) = stack.pop() {
+                for &(m, l) in topo.neighbors(n) {
+                    if usable[l.index()] && label[m.index()] == u32::MAX {
+                        label[m.index()] = next;
+                        stack.push(m);
+                    }
+                }
+            }
+            next += 1;
+        }
+        if label[a.index()] == label[b.index()] {
+            count += 1;
+        }
+    }
+    count
 }
 
 fn splitmix(mut x: u64) -> u64 {

@@ -432,17 +432,28 @@ impl TopologyBuilder {
                 tray_occupancy[seg.index()].push(LinkId::from_index(i));
             }
         }
-        // Disturbance neighbors: tray-sharing plus panel adjacency.
-        let mut disturb: Vec<std::collections::BTreeSet<LinkId>> =
-            vec![Default::default(); self.links.len()];
-        for occ in &tray_occupancy {
-            for (i, &la) in occ.iter().enumerate() {
-                for &lb in &occ[i + 1..] {
-                    disturb[la.index()].insert(lb);
-                    disturb[lb.index()].insert(la);
+        // Disturbance neighbors: tray-sharing plus panel adjacency. A
+        // link's tray neighbours are the other occupants of its own
+        // segments; `seen[m] == i` skips a link met on an earlier segment.
+        let mut seen = vec![usize::MAX; self.links.len()];
+        let mut disturb: Vec<Vec<LinkId>> = self
+            .links
+            .iter()
+            .enumerate()
+            .map(|(i, link)| {
+                seen[i] = i;
+                let mut near = Vec::new();
+                for seg in &link.route.segments {
+                    for &m in &tray_occupancy[seg.index()] {
+                        if seen[m.index()] != i {
+                            seen[m.index()] = i;
+                            near.push(m);
+                        }
+                    }
                 }
-            }
-        }
+                near
+            })
+            .collect();
         // Panel adjacency: group cabled ports by (rack, u, face); slots
         // within +/-2 are neighbors.
         use std::collections::BTreeMap;
@@ -467,11 +478,17 @@ impl TopologyBuilder {
                         break;
                     }
                     if li != lj {
-                        disturb[li.index()].insert(lj);
-                        disturb[lj.index()].insert(li);
+                        disturb[li.index()].push(lj);
+                        disturb[lj.index()].push(li);
                     }
                 }
             }
+        }
+        // The lists live as long as the topology: drop the growth slack.
+        for near in &mut disturb {
+            near.sort_unstable();
+            near.dedup();
+            near.shrink_to_fit();
         }
         Topology {
             layout: self.layout,
@@ -483,10 +500,7 @@ impl TopologyBuilder {
             port_link: self.port_link,
             adjacency,
             tray_occupancy,
-            disturb_neighbors: disturb
-                .into_iter()
-                .map(|s| s.into_iter().collect())
-                .collect(),
+            disturb_neighbors: disturb,
             name: self.name,
         }
     }
@@ -641,6 +655,56 @@ mod tests {
         // Both cables traverse the col0-col1 tray segment.
         assert!(t.disturb_neighbors(l02).contains(&l01));
         assert!(t.disturb_neighbors(l01).contains(&l02));
+    }
+
+    /// FNV-1a over every link's neighbour list: its length, then its ids.
+    fn disturb_digest(t: &Topology) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for l in t.link_ids() {
+            let list = t.disturb_neighbors(l);
+            let words = std::iter::once(list.len() as u32).chain(list.iter().map(|n| n.0));
+            for byte in words.flat_map(u32::to_le_bytes) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn disturbance_index_is_pinned() {
+        // E1's leaf-spine, the fattree-1k fabric and one random mesh.
+        // The digests pin every list and its order: the contact sets,
+        // drain plans and disturbance rolls all walk them.
+        let rng = SimRng::root(1);
+        let d = DiversityProfile::cloud_typical();
+        for (t, digest) in [
+            (
+                crate::gen::leaf_spine(4, 16, 8, 1, d, &rng),
+                17_101_524_837_701_200_677u64,
+            ),
+            (
+                crate::gen::fat_tree(12, d, &rng),
+                13_304_913_828_773_487_671,
+            ),
+            (
+                crate::gen::jellyfish(24, 6, 4, d, &rng),
+                6_008_509_007_734_649_988,
+            ),
+        ] {
+            for l in t.link_ids() {
+                let list = t.disturb_neighbors(l);
+                assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "{}: {l:?} unsorted or repeated",
+                    t.name()
+                );
+                assert!(list.binary_search(&l).is_err(), "{}: {l:?}", t.name());
+                for &n in list {
+                    assert!(t.disturb_neighbors(n).binary_search(&l).is_ok());
+                }
+            }
+            assert_eq!(disturb_digest(&t), digest, "{}", t.name());
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub mod reconfig;
 
 use std::collections::BTreeSet;
 
-use dcmaint_dcnet::routing::pair_connectivity;
-use dcmaint_dcnet::{AdminState, NetState, NodeId, Topology};
+use dcmaint_dcnet::routing::connected_pairs;
+use dcmaint_dcnet::{NetState, NodeId, Topology};
 use dcmaint_des::{SimRng, Stream};
 
 /// Everything [`analyze`] measures about one topology.
@@ -165,15 +165,11 @@ fn drainability(topo: &Topology, pair_samples: usize, stream: &mut Stream) -> f6
         }
     }
     let state = NetState::new(topo);
-    let before = pair_connectivity(topo, &state, &pairs);
-    let mut drainable = 0usize;
-    for l in topo.link_ids() {
-        let mut trial = state.clone();
-        trial.set_admin(l, AdminState::Drained);
-        if pair_connectivity(topo, &trial, &pairs) >= before {
-            drainable += 1;
-        }
-    }
+    let before = connected_pairs(topo, &state, &[], &pairs);
+    let drainable = topo
+        .link_ids()
+        .filter(|&l| connected_pairs(topo, &state, &[l], &pairs) >= before)
+        .count();
     drainable as f64 / topo.link_count() as f64
 }
 

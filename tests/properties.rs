@@ -8,9 +8,9 @@ use selfmaint::des::{Dist, Scheduler, SimDuration, SimRng, SimTime};
 use selfmaint::faults::{EndFace, RepairAction, RootCause};
 use selfmaint::metrics::{nines, SampleSet, StreamingStats};
 use selfmaint::net::flows::{allocate, tail_latency_multiplier, Demand};
-use selfmaint::net::gen::{jellyfish, leaf_spine};
-use selfmaint::net::routing::{connected, distances_from};
-use selfmaint::net::{DiversityProfile, NetState};
+use selfmaint::net::gen::{fat_tree, jellyfish, leaf_spine};
+use selfmaint::net::routing::{connected, connected_pairs, distances_from};
+use selfmaint::net::{AdminState, DiversityProfile, LinkHealth, LinkId, NetState, NodeId};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -119,6 +119,53 @@ proptest! {
         prop_assert!(connected(&topo, &state, a, b));
         let p = path.unwrap();
         prop_assert_eq!(p.len() as u32, dist[b.index()]);
+    }
+
+    /// The drain what-if primitive agrees with the per-pair reference:
+    /// `connected_pairs` with a `without` overlay counts exactly the
+    /// pairs that `connected` finds on a copy with those links drained,
+    /// on fabrics with links already down or drained.
+    #[test]
+    fn connected_pairs_matches_per_pair_bfs(
+        seed in 0u64..500,
+        fabric in 0u8..3,
+        broken in prop::collection::vec((0usize..10_000, 0u8..2), 0..12),
+        without in prop::collection::vec(0usize..10_000, 0..8),
+        pairs in prop::collection::vec((0usize..10_000, 0usize..10_000, 0u8..4), 0..24),
+    ) {
+        let rng = SimRng::root(seed);
+        let d = DiversityProfile::standardized();
+        let topo = match fabric {
+            0 => leaf_spine(2, 4, 3, 1, d, &rng),
+            1 => fat_tree(4, d, &rng),
+            // Degree 2: a union of rings, often more than one.
+            _ => jellyfish(10, 2, 2, d, &rng),
+        };
+        let link = |i: usize| LinkId::from_index(i % topo.link_count());
+        let node = |i: usize| NodeId::from_index(i % topo.node_count());
+        let mut state = NetState::new(&topo);
+        for &(l, drained) in &broken {
+            if drained == 0 {
+                state.set_health(link(l), LinkHealth::Down, 1.0);
+            } else {
+                state.set_admin(link(l), AdminState::Drained);
+            }
+        }
+        let without: Vec<LinkId> = without.iter().map(|&l| link(l)).collect();
+        // One pair in four is a node with itself.
+        let pairs: Vec<(NodeId, NodeId)> = pairs
+            .iter()
+            .map(|&(a, b, same)| (node(a), if same == 0 { node(a) } else { node(b) }))
+            .collect();
+        let mut reference = state.clone();
+        for &l in &without {
+            reference.set_admin(l, AdminState::Drained);
+        }
+        let expected = pairs
+            .iter()
+            .filter(|&&(a, b)| connected(&topo, &reference, a, b))
+            .count();
+        prop_assert_eq!(connected_pairs(&topo, &state, &without, &pairs), expected);
     }
 
     /// Cleaning never increases contamination; wet cleaning dominates

@@ -148,9 +148,37 @@ impl AutomationLevel {
     }
 }
 
+/// Parses a level label (`L3`) or its bare digit (`3`), in any case —
+/// the one parser behind `selfmaint --level` and serve's `level=`.
+impl std::str::FromStr for AutomationLevel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let label = s.to_ascii_uppercase();
+        let label = label.strip_prefix('L').unwrap_or(&label);
+        AutomationLevel::ALL
+            .into_iter()
+            .find(|l| &l.label()[1..] == label)
+            .ok_or_else(|| format!("unknown level {s:?} (use L0..L4)"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn levels_parse_from_labels_digits_and_lower_case() {
+        for l in AutomationLevel::ALL {
+            assert_eq!(l.label().parse::<AutomationLevel>(), Ok(l));
+            assert_eq!(l.label().to_lowercase().parse::<AutomationLevel>(), Ok(l));
+            assert_eq!(l.label()[1..].parse::<AutomationLevel>(), Ok(l));
+        }
+        for bad in ["L5", "5", "", "L", "LL3", "L3 ", "all"] {
+            let err = bad.parse::<AutomationLevel>().unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn order_and_labels() {

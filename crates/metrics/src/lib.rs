@@ -8,7 +8,9 @@
 //!   yielding availability, MTBF, MTTR and downtime-window distributions,
 //! * [`CostModel`], [`CostLedger`] — labor / robot / hardware / downtime /
 //!   redundancy cost accounting,
-//! * [`Table`] — uniform text-table and CSV rendering for every experiment.
+//! * [`Table`], [`Cell`] — typed table cells: how every experiment value
+//!   renders (text table, CSV, JSONL) and how its seed replicates fold
+//!   into mean ±95% CI cells ([`Table::fold`]).
 //!
 //! The crate is deliberately free of simulation logic: it consumes times
 //! and durations from `dcmaint-des` and produces numbers. That keeps the
@@ -29,4 +31,4 @@ pub use avail::{
 };
 pub use cost::{CostLedger, CostModel, HardwareKind};
 pub use stats::{mean_ci95, Beta, Ci95, DurationSamples, SampleSet, StreamingStats};
-pub use table::{fnum, fpct, fratio, Align, Table};
+pub use table::{fnum, Align, Cell, Table};

@@ -322,15 +322,7 @@ impl Ci95 {
     /// Table-cell rendering: `"mean ±half"` with `digits` decimals, or
     /// just `"mean"` when no finite interval exists (n ≤ 1).
     pub fn cell(&self, digits: usize) -> String {
-        if self.half.is_finite() {
-            format!(
-                "{} ±{}",
-                crate::table::fnum(self.mean, digits),
-                crate::table::fnum(self.half, digits)
-            )
-        } else {
-            crate::table::fnum(self.mean, digits)
-        }
+        crate::table::mean_pm(*self, |x| crate::table::fnum(x, digits))
     }
 }
 

@@ -15,7 +15,7 @@
 use dcmaint_dcnet::DiversityProfile;
 use dcmaint_des::SimDuration;
 use dcmaint_faults::RepairAction;
-use dcmaint_metrics::{fnum, fpct, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::{AutomationLevel, ControllerConfig, EscalationConfig};
 
 use crate::config::ScenarioConfig;
@@ -116,13 +116,13 @@ pub fn a1_table(rows: &[A1Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.level.label().to_string(),
-            if r.coordinated { "on" } else { "off" }.to_string(),
-            r.live_bursts.to_string(),
-            r.total_bursts.to_string(),
-            fpct(r.live_fraction),
-            fnum(r.impact_loss_s, 0),
-            fnum(r.availability, 5),
+            r.level.label().into(),
+            if r.coordinated { "on" } else { "off" }.into(),
+            Cell::Count(r.live_bursts),
+            Cell::Count(r.total_bursts),
+            Cell::Pct(r.live_fraction, 1),
+            Cell::Num(r.impact_loss_s, 0),
+            Cell::Num(r.availability, 5),
         ]);
     }
     t
@@ -186,11 +186,11 @@ pub fn a2_table(rows: &[A2Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.repeats_per_rung.to_string(),
-            fnum(r.mean_attempts, 2),
-            r.median_window.to_string(),
-            fnum(r.hardware_cost, 0),
-            r.switch_replacements.to_string(),
+            r.repeats_per_rung.to_string().into(),
+            Cell::Num(r.mean_attempts, 2),
+            Cell::Dur(r.median_window),
+            Cell::Num(r.hardware_cost, 0),
+            Cell::Count(r.switch_replacements),
         ]);
     }
     t
@@ -257,12 +257,12 @@ pub fn a3_table(rows: &[A3Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.vendors.to_string(),
-            r.robot_ops.to_string(),
-            r.escalations.to_string(),
-            fpct(r.escalation_rate),
-            r.median_window.to_string(),
-            r.tech_time.to_string(),
+            r.vendors.to_string().into(),
+            Cell::Count(r.robot_ops),
+            Cell::Count(r.escalations),
+            Cell::Pct(r.escalation_rate, 1),
+            Cell::Dur(r.median_window),
+            Cell::Dur(r.tech_time),
         ]);
     }
     t

@@ -8,7 +8,7 @@
 //! utilization — the sizing curve an operator would actually use.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, fpct, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::AutomationLevel;
 
 use crate::config::ScenarioConfig;
@@ -163,13 +163,13 @@ pub fn table(rows: &[E10Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.choice.label(),
-            r.median_window.to_string(),
-            r.p95_window.to_string(),
-            r.robot_ops.to_string(),
-            fpct(r.utilization),
-            fnum(r.availability, 5),
-            fnum(r.cost, 0),
+            r.choice.label().into(),
+            Cell::Dur(r.median_window),
+            Cell::Dur(r.p95_window),
+            Cell::Count(r.robot_ops),
+            Cell::Pct(r.utilization, 1),
+            Cell::Num(r.availability, 5),
+            Cell::Num(r.cost, 0),
         ]);
     }
     t

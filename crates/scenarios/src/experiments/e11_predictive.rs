@@ -8,7 +8,7 @@
 //! delta against a predictive-off twin run.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, fpct, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use dcmaint_telemetry::FEATURE_NAMES;
 use maintctl::{AutomationLevel, ControllerConfig};
 
@@ -109,38 +109,36 @@ pub fn table(out: &E11Output) -> Table {
         "E11: online failure prediction (§4 ML opportunity)",
         &[("metric", Align::Left), ("value", Align::Right)],
     );
+    let on_off = |on: Cell, off: Cell| Cell::Join(vec![on, off], " / ");
     t.row(vec![
-        "predictions resolved".to_string(),
-        out.predictions.to_string(),
+        "predictions resolved".into(),
+        Cell::Count(out.predictions),
     ]);
-    t.row(vec!["links flagged".to_string(), out.flagged.to_string()]);
-    t.row(vec!["precision".to_string(), fpct(out.precision)]);
-    t.row(vec!["recall".to_string(), fpct(out.recall)]);
-    t.row(vec!["F1".to_string(), fnum(out.f1, 3)]);
+    t.row(vec!["links flagged".into(), Cell::Count(out.flagged)]);
+    t.row(vec!["precision".into(), Cell::Pct(out.precision, 1)]);
+    t.row(vec!["recall".into(), Cell::Pct(out.recall, 1)]);
+    t.row(vec!["F1".into(), Cell::Num(out.f1, 3)]);
     t.row(vec![
-        "incidents (on / off)".to_string(),
-        format!("{} / {}", out.incidents_on, out.incidents_off),
+        "incidents (on / off)".into(),
+        on_off(
+            Cell::Count(out.incidents_on),
+            Cell::Count(out.incidents_off),
+        ),
     ]);
     t.row(vec![
-        "availability (on / off)".to_string(),
-        format!(
-            "{} / {}",
-            fnum(out.availability.0, 5),
-            fnum(out.availability.1, 5)
+        "availability (on / off)".into(),
+        on_off(
+            Cell::Num(out.availability.0, 5),
+            Cell::Num(out.availability.1, 5),
         ),
     ]);
     t
 }
 
-/// Render the learned feature weights (runs a fresh arm to expose them).
-pub fn weights_table(p: &E11Params) -> Table {
-    // The engine consumes the controller, so reconstruct a short run and
-    // train a standalone predictor on the same synthetic stream the
-    // engine would produce — weight *signs* are what the table shows.
-    // Simpler and honest: re-run the on-arm and read the prediction
-    // stats; weights live inside the engine, so this table reports the
-    // feature names with their normalization notes instead.
-    let _ = p;
+/// Render the predictor's feature vector: each feature's name with the
+/// note on how it is normalized to `[0,1]`. The learned weights live inside
+/// the engine's controller and are not shown.
+pub fn weights_table() -> Table {
     let mut t = Table::new(
         "E11b: predictive feature vector (normalized to [0,1])",
         &[("feature", Align::Left), ("note", Align::Left)],
@@ -155,7 +153,7 @@ pub fn weights_table(p: &E11Params) -> Table {
         "MPO cores / 16",
     ];
     for (name, note) in FEATURE_NAMES.iter().zip(notes) {
-        t.row(vec![(*name).to_string(), note.to_string()]);
+        t.row(vec![*name, note]);
     }
     t
 }
@@ -196,7 +194,7 @@ mod tests {
         let out = run_experiment(&E11Params::quick(113));
         let t = table(&out).render();
         assert!(t.contains("precision"));
-        let w = weights_table(&E11Params::quick(113)).render();
+        let w = weights_table().render();
         assert!(w.contains("loss_ewma"));
     }
 }

@@ -14,7 +14,7 @@
 //! server-hours of the two strategies.
 
 use dcmaint_des::{SimDuration, SimRng};
-use dcmaint_metrics::{fnum, fpct, fratio, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use dcmaint_topomaint::reconfig::{evaluate_rewire, tor_switches};
 
 use crate::config::TopologySpec;
@@ -151,14 +151,14 @@ pub fn table(rows: &[E12Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.topology.clone(),
-            r.tors_tested.to_string(),
-            fnum(r.mean_stranded, 1),
-            fpct(r.restored_frac),
-            r.mean_rewire.to_string(),
-            fnum(r.static_server_hours, 1),
-            fnum(r.rewired_server_hours, 1),
-            fratio(r.reduction),
+            r.topology.as_str().into(),
+            Cell::Count(r.tors_tested as u64),
+            Cell::Num(r.mean_stranded, 1),
+            Cell::Pct(r.restored_frac, 1),
+            Cell::Dur(r.mean_rewire),
+            Cell::Num(r.static_server_hours, 1),
+            Cell::Num(r.rewired_server_hours, 1),
+            Cell::Ratio(r.reduction),
         ]);
     }
     t

@@ -22,7 +22,7 @@
 //! the engine test `trough_deferral_delays_routine_repairs`).
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::{AutomationLevel, ControllerConfig, ProactiveConfig};
 
 use crate::config::ScenarioConfig;
@@ -152,14 +152,14 @@ pub fn table(rows: &[E13Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.policy.label().to_string(),
-            r.campaigns.to_string(),
-            r.campaign_links.to_string(),
-            fnum(r.capacity_impact, 1),
-            fnum(r.campaign_impact, 1),
-            fnum(r.campaign_impact / r.campaign_links.max(1) as f64, 4),
-            fnum(r.burst_impact, 0),
-            r.incidents.to_string(),
+            r.policy.label().into(),
+            Cell::Count(r.campaigns),
+            Cell::Count(r.campaign_links),
+            Cell::Num(r.capacity_impact, 1),
+            Cell::Num(r.campaign_impact, 1),
+            Cell::Num(r.campaign_impact / r.campaign_links.max(1) as f64, 4),
+            Cell::Num(r.burst_impact, 0),
+            Cell::Count(r.incidents),
         ]);
     }
     t

@@ -26,7 +26,7 @@
 
 use dcmaint_des::SimDuration;
 use dcmaint_faults::RobotFaultConfig;
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::AutomationLevel;
 
 use crate::config::{ScenarioConfig, TopologySpec};
@@ -207,16 +207,16 @@ pub fn table(rows: &[E14Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.arm.clone(),
-            fnum(r.availability, 5),
-            super::fdur(r.median_window),
-            r.stalls.to_string(),
-            r.aborts.to_string(),
-            r.watchdog_fires.to_string(),
-            r.ladder_steps.to_string(),
-            r.human_escalations.to_string(),
-            r.tickets_open.to_string(),
-            r.leaks.to_string(),
+            r.arm.as_str().into(),
+            Cell::Num(r.availability, 5),
+            Cell::Dur(r.median_window),
+            Cell::Count(r.stalls),
+            Cell::Count(r.aborts),
+            Cell::Count(r.watchdog_fires),
+            Cell::Count(r.ladder_steps),
+            Cell::Count(r.human_escalations),
+            Cell::Count(r.tickets_open),
+            Cell::Count(r.leaks),
         ]);
     }
     t

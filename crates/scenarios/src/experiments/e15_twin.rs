@@ -22,7 +22,7 @@
 //! prediction-calibration metric in EXPERIMENTS.md's glossary).
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use dcmaint_twin::{TwinConfig, TwinPolicy};
 use maintctl::{AutomationLevel, ControllerConfig};
 
@@ -211,19 +211,19 @@ pub fn table(rows: &[E15Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.scenario.label().to_string(),
-            if r.twin_guided { "twin" } else { "ladder" }.to_string(),
-            fnum(r.availability, 6),
-            fnum(r.cost, 0),
-            r.incidents.to_string(),
-            r.tickets_fixed.to_string(),
-            r.decisions.to_string(),
-            r.forks.to_string(),
-            r.committed.to_string(),
+            r.scenario.label().into(),
+            if r.twin_guided { "twin" } else { "ladder" }.into(),
+            Cell::Num(r.availability, 6),
+            Cell::Num(r.cost, 0),
+            Cell::Count(r.incidents),
+            Cell::Count(r.tickets_fixed),
+            Cell::Count(r.decisions),
+            Cell::Count(r.forks),
+            Cell::Count(r.committed),
             if r.twin_guided {
-                fnum(r.predicted_availability, 6)
+                Cell::Num(r.predicted_availability, 6)
             } else {
-                "-".to_string()
+                "-".into()
             },
         ]);
     }

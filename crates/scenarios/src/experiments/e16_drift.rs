@@ -27,7 +27,7 @@
 use dcmaint_autonomic::AutonomicConfig;
 use dcmaint_des::{SimDuration, SimTime};
 use dcmaint_faults::RootCause;
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::{AutomationLevel, ControllerConfig};
 
 use crate::config::{ScenarioConfig, ScriptedIncident, TopologySpec};
@@ -213,21 +213,24 @@ pub fn table(rows: &[E16Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.seed.to_string(),
-            if r.autonomic { "autonomic" } else { "static" }.to_string(),
-            fnum(r.availability, 6),
-            fnum(r.cost, 0),
-            r.incidents.to_string(),
-            r.tickets_fixed.to_string(),
-            r.ticks.to_string(),
-            r.applied.to_string(),
-            r.rollbacks.to_string(),
-            r.final_cap.to_string(),
-            r.cap_fallbacks.to_string(),
+            r.seed.to_string().into(),
+            if r.autonomic { "autonomic" } else { "static" }.into(),
+            Cell::Num(r.availability, 6),
+            Cell::Num(r.cost, 0),
+            Cell::Count(r.incidents),
+            Cell::Count(r.tickets_fixed),
+            Cell::Count(r.ticks),
+            Cell::Count(r.applied),
+            Cell::Count(r.rollbacks),
+            Cell::Count(r.final_cap),
+            Cell::Count(r.cap_fallbacks),
             if r.autonomic {
-                format!("{}/{}", r.posteriors.0, r.posteriors.1)
+                Cell::Join(
+                    vec![Cell::Count(r.posteriors.0), Cell::Count(r.posteriors.1)],
+                    "/",
+                )
             } else {
-                "-".to_string()
+                "-".into()
             },
         ]);
     }

@@ -7,12 +7,12 @@
 //! reports the service-window distribution, availability, and cost.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, nines, Align, Table};
+use dcmaint_metrics::{nines, Align, Cell, Table};
 use maintctl::AutomationLevel;
 
 use crate::config::ScenarioConfig;
 use crate::engine::run;
-use crate::experiments::fdur;
+use crate::report::SweepMetrics;
 
 /// Parameters for E1.
 #[derive(Debug, Clone)]
@@ -45,23 +45,14 @@ impl E1Params {
     }
 }
 
-/// One row of the E1 table.
+/// One row of the E1 table: a level and its headline metrics — the same
+/// vector `selfmaint sweep` extracts from each of its runs.
 #[derive(Debug, Clone)]
 pub struct E1Row {
     /// Automation level.
     pub level: AutomationLevel,
-    /// Median service window of fixed reactive tickets.
-    pub median_window: SimDuration,
-    /// p95 service window.
-    pub p95_window: SimDuration,
-    /// Link availability.
-    pub availability: f64,
-    /// Fixed reactive tickets.
-    pub tickets_fixed: u64,
-    /// Technician time consumed.
-    pub tech_time: SimDuration,
-    /// Total operating cost (USD).
-    pub cost: f64,
+    /// Service windows, availability, fixed tickets, tech time and cost.
+    pub metrics: SweepMetrics,
 }
 
 fn config_for(p: &E1Params, level: AutomationLevel) -> ScenarioConfig {
@@ -77,47 +68,47 @@ fn config_for(p: &E1Params, level: AutomationLevel) -> ScenarioConfig {
 pub fn run_experiment(p: &E1Params) -> Vec<E1Row> {
     AutomationLevel::ALL
         .iter()
-        .map(|&level| {
-            let mut r = run(config_for(p, level));
-            E1Row {
-                level,
-                median_window: r.median_service_window(),
-                p95_window: r.p95_service_window(),
-                availability: r.availability.availability,
-                tickets_fixed: r.tickets_fixed,
-                tech_time: r.tech_time,
-                cost: r.costs.total(),
-            }
+        .map(|&level| E1Row {
+            level,
+            metrics: run(config_for(p, level)).sweep_metrics(),
         })
         .collect()
+}
+
+/// The columns of the E1 table and of `selfmaint sweep`'s table.
+pub const COLUMNS: [(&str, Align); 8] = [
+    ("level", Align::Left),
+    ("median window", Align::Right),
+    ("p95 window", Align::Right),
+    ("availability", Align::Right),
+    ("nines", Align::Right),
+    ("fixed tickets", Align::Right),
+    ("tech time", Align::Right),
+    ("cost $", Align::Right),
+];
+
+/// One level's row under [`COLUMNS`].
+pub fn cells(level: AutomationLevel, m: &SweepMetrics) -> Vec<Cell> {
+    vec![
+        level.label().into(),
+        Cell::Dur(m.median_window),
+        Cell::Dur(m.p95_window),
+        Cell::Num(m.availability, 5),
+        Cell::Num(nines(m.availability), 2),
+        Cell::Count(m.tickets_fixed),
+        Cell::Dur(m.tech_time),
+        Cell::Num(m.cost, 0),
+    ]
 }
 
 /// Render the E1 table.
 pub fn table(rows: &[E1Row]) -> Table {
     let mut t = Table::new(
         "E1: service window and availability vs automation level (C3)",
-        &[
-            ("level", Align::Left),
-            ("median window", Align::Right),
-            ("p95 window", Align::Right),
-            ("availability", Align::Right),
-            ("nines", Align::Right),
-            ("fixed tickets", Align::Right),
-            ("tech time", Align::Right),
-            ("cost $", Align::Right),
-        ],
+        &COLUMNS,
     );
     for r in rows {
-        t.row(vec![
-            r.level.label().to_string(),
-            fdur(r.median_window),
-            fdur(r.p95_window),
-            fnum(r.availability, 5),
-            fnum(nines(r.availability), 2),
-            r.tickets_fixed.to_string(),
-            fdur(r.tech_time),
-            fnum(r.cost, 0),
-        ]);
+        t.row(cells(r.level, &r.metrics));
     }
     t
 }
@@ -130,9 +121,9 @@ mod tests {
     fn levels_shrink_the_window_days_to_minutes() {
         let rows = run_experiment(&E1Params::quick(11));
         assert_eq!(rows.len(), 5);
-        let l0 = &rows[0];
-        let l3 = &rows[3];
-        let l4 = &rows[4];
+        let l0 = &rows[0].metrics;
+        let l3 = &rows[3].metrics;
+        let l4 = &rows[4].metrics;
         // C3 shape: hours-to-days at L0, minutes-scale at L3+.
         assert!(
             l0.median_window > SimDuration::from_hours(2),
@@ -156,8 +147,8 @@ mod tests {
     #[test]
     fn availability_improves_with_automation() {
         let rows = run_experiment(&E1Params::quick(12));
-        let l0 = rows[0].availability;
-        let l3 = rows[3].availability;
+        let l0 = rows[0].metrics.availability;
+        let l3 = rows[3].metrics.availability;
         assert!(l3 > l0, "L0 {l0} vs L3 {l3}");
     }
 
@@ -165,10 +156,11 @@ mod tests {
     fn tech_time_collapses_at_high_automation() {
         let rows = run_experiment(&E1Params::quick(13));
         assert!(
-            rows[3].tech_time.as_hours_f64() < 0.5 * rows[0].tech_time.as_hours_f64(),
+            rows[3].metrics.tech_time.as_hours_f64()
+                < 0.5 * rows[0].metrics.tech_time.as_hours_f64(),
             "L0 {} vs L3 {}",
-            rows[0].tech_time,
-            rows[3].tech_time
+            rows[0].metrics.tech_time,
+            rows[3].metrics.tech_time
         );
     }
 

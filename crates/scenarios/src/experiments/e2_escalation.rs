@@ -8,7 +8,7 @@
 
 use dcmaint_des::SimDuration;
 use dcmaint_faults::RepairAction;
-use dcmaint_metrics::{fnum, fpct, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::AutomationLevel;
 
 use crate::config::ScenarioConfig;
@@ -127,19 +127,19 @@ pub fn table(out: &E2Output) -> Table {
     );
     for r in &out.rows {
         t.row(vec![
-            r.action.label().to_string(),
-            r.attempts.to_string(),
-            r.fixes.to_string(),
-            fpct(r.fix_rate),
-            fpct(r.fix_share),
+            r.action.label().into(),
+            Cell::Count(r.attempts),
+            Cell::Count(r.fixes),
+            Cell::Pct(r.fix_rate, 1),
+            Cell::Pct(r.fix_share, 1),
         ]);
     }
     t.row(vec![
-        "mean attempts/fix".to_string(),
-        fnum(out.mean_attempts, 2),
-        String::new(),
-        "multi-attempt".to_string(),
-        fpct(out.multi_attempt_frac),
+        "mean attempts/fix".into(),
+        Cell::Num(out.mean_attempts, 2),
+        "".into(),
+        "multi-attempt".into(),
+        Cell::Pct(out.multi_attempt_frac, 1),
     ]);
     t
 }

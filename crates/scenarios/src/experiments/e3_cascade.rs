@@ -8,7 +8,7 @@
 //! repair).
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::AutomationLevel;
 
 use crate::config::ScenarioConfig;
@@ -105,12 +105,12 @@ pub fn table(rows: &[E3Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.level.label().to_string(),
-            r.operations.to_string(),
-            r.bursts.to_string(),
-            fnum(r.bursts_per_op, 2),
-            r.cascade_incidents.to_string(),
-            fnum(r.amplification_pct, 1),
+            r.level.label().into(),
+            Cell::Count(r.operations),
+            Cell::Count(r.bursts),
+            Cell::Num(r.bursts_per_op, 2),
+            Cell::Count(r.cascade_incidents),
+            Cell::Num(r.amplification_pct, 1),
         ]);
     }
     t

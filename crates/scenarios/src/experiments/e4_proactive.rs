@@ -9,7 +9,7 @@
 //! faults before they manifest.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, nines, Align, Table};
+use dcmaint_metrics::{nines, Align, Cell, Table};
 use maintctl::{AutomationLevel, ControllerConfig};
 
 use crate::config::ScenarioConfig;
@@ -146,13 +146,13 @@ pub fn table(rows: &[E4Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.policy.label().to_string(),
-            r.incidents.to_string(),
-            fnum(r.availability, 5),
-            fnum(nines(r.availability), 2),
-            r.campaigns.to_string(),
-            r.scheduled_tickets.to_string(),
-            fnum(r.cost, 0),
+            r.policy.label().into(),
+            Cell::Count(r.incidents),
+            Cell::Num(r.availability, 5),
+            Cell::Num(nines(r.availability), 2),
+            Cell::Count(r.campaigns),
+            Cell::Count(r.scheduled_tickets),
+            Cell::Num(r.cost, 0),
         ]);
     }
     t

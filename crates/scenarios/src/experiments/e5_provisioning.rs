@@ -8,7 +8,7 @@
 //! standing redundancy cost per leaf per year.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, Align, CostModel, Table};
+use dcmaint_metrics::{Align, Cell, CostModel, Table};
 use maintctl::provision::advise;
 
 /// Parameters for E5.
@@ -94,11 +94,11 @@ pub fn table(rows: &[E5Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.mttr_label.to_string(),
-            format!("{:.3}%", r.target * 100.0),
-            r.n.to_string(),
-            r.spares.to_string(),
-            fnum(r.redundancy_cost, 0),
+            r.mttr_label.into(),
+            Cell::Pct(r.target, 3),
+            Cell::Count(r.n as u64),
+            Cell::Count(r.spares as u64),
+            Cell::Num(r.redundancy_cost, 0),
         ]);
     }
     t

@@ -10,7 +10,7 @@
 
 use dcmaint_des::{SimDuration, SimRng};
 use dcmaint_faults::EndFace;
-use dcmaint_metrics::{fratio, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use dcmaint_robotics::{run_clean, OpTimings, VisionModel};
 
 /// Parameters for E6.
@@ -124,12 +124,12 @@ pub fn table(rows: &[E6Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            r.cores.to_string(),
-            r.robot_inspect.to_string(),
-            r.human_inspect.to_string(),
-            fratio(r.speedup),
-            r.mean_clean_cycle.to_string(),
-            format!("{:.1}%", r.escalation_frac * 100.0),
+            r.cores.to_string().into(),
+            Cell::Dur(r.robot_inspect),
+            Cell::Dur(r.human_inspect),
+            Cell::Ratio(r.speedup),
+            Cell::Dur(r.mean_clean_cycle),
+            Cell::Pct(r.escalation_frac, 1),
         ]);
     }
     t

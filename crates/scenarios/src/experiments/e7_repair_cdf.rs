@@ -8,7 +8,7 @@
 //! figure would be plotted.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fpct, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use maintctl::AutomationLevel;
 
 use crate::config::ScenarioConfig;
@@ -121,8 +121,8 @@ pub fn table(series: &[E7Series]) -> Table {
         &cols,
     );
     for s in series {
-        let mut row = vec![s.level.label().to_string(), s.samples.to_string()];
-        row.extend(s.cdf.iter().map(|&v| fpct(v)));
+        let mut row = vec![s.level.label().into(), Cell::Count(s.samples as u64)];
+        row.extend(s.cdf.iter().map(|&v| Cell::Pct(v, 1)));
         t.row(row);
     }
     t

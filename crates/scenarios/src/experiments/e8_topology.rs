@@ -9,7 +9,7 @@
 //! optionally validates with a short L3 simulation on each.
 
 use dcmaint_des::{SimDuration, SimRng};
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use dcmaint_topomaint::{analyze, MaintainabilityReport};
 use maintctl::AutomationLevel;
 
@@ -132,16 +132,16 @@ pub fn table(rows: &[E8Row]) -> Table {
     for r in rows {
         let m = &r.report;
         t.row(vec![
-            m.topology.clone(),
-            m.links.to_string(),
-            fnum(m.mean_cable_m, 1),
-            fnum(m.mean_bundle_size, 2),
-            m.cable_skus.to_string(),
-            m.max_tray_load.to_string(),
-            fnum(m.mean_blast_radius, 1),
-            fnum(m.drainable_frac, 2),
-            fnum(m.index, 1),
-            r.sim_availability.map_or("-".to_string(), |a| fnum(a, 5)),
+            m.topology.as_str().into(),
+            Cell::Count(m.links as u64),
+            Cell::Num(m.mean_cable_m, 1),
+            Cell::Num(m.mean_bundle_size, 2),
+            Cell::Count(m.cable_skus as u64),
+            Cell::Count(m.max_tray_load as u64),
+            Cell::Num(m.mean_blast_radius, 1),
+            Cell::Num(m.drainable_frac, 2),
+            Cell::Num(m.index, 1),
+            r.sim_availability.map_or("-".into(), |a| Cell::Num(a, 5)),
         ]);
     }
     t

@@ -13,7 +13,7 @@ use dcmaint_dcnet::flows::{all_to_all, allocate};
 use dcmaint_dcnet::{DiversityProfile, LinkHealth, NetState};
 use dcmaint_des::{SimDuration, SimRng};
 use dcmaint_faults::FlapProcess;
-use dcmaint_metrics::{fnum, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 
 /// Parameters for E9.
 #[derive(Debug, Clone)]
@@ -155,13 +155,13 @@ pub fn table(rows: &[E9Row]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            fnum(r.severity, 1),
-            format!("{:.4}", r.mean_loss),
-            fnum(r.p50, 2),
-            fnum(r.p99, 1),
-            fnum(r.p999, 1),
-            fnum(r.p999_human_window, 2),
-            fnum(r.p999_robot_window, 2),
+            Cell::Num(r.severity, 1),
+            Cell::Num(r.mean_loss, 4),
+            Cell::Num(r.p50, 2),
+            Cell::Num(r.p99, 1),
+            Cell::Num(r.p999, 1),
+            Cell::Num(r.p999_human_window, 2),
+            Cell::Num(r.p999_robot_window, 2),
         ]);
     }
     t

@@ -1,14 +1,17 @@
-//! Experiment runners E1–E11: one module per table/figure in
-//! EXPERIMENTS.md.
+//! Experiment runners E1–E16 and ablations A1–A3: one module per table
+//! or figure in EXPERIMENTS.md.
 //!
 //! Every experiment follows the same contract:
 //!
 //! * a `Params` struct with [`quick`](e1::E1Params::quick) (CI-sized)
 //!   and `full` (paper-sized) presets, everything seeded;
 //! * a typed row struct — the columns of the table it regenerates;
-//! * `run(params) -> Vec<Row>` doing the work;
-//! * `table(&rows) -> Table` rendering exactly what EXPERIMENTS.md
-//!   shows.
+//! * `run_experiment(&params) -> Vec<Row>` (or an output struct) doing
+//!   the work;
+//! * `table(&rows) -> Table` of typed [`Cell`](dcmaint_metrics::Cell)s,
+//!   rendering exactly what EXPERIMENTS.md shows. A cell's type decides
+//!   both its text and how `--seeds K` folds its replicates, so a
+//!   configuration key is `Text` and a measured count is `Count`.
 //!
 //! The integration tests in each module pin the *qualitative shape* the
 //! paper claims (who wins, roughly by how much) — never absolute
@@ -48,10 +51,3 @@ pub use e6_inspection as e6;
 pub use e7_repair_cdf as e7;
 pub use e8_topology as e8;
 pub use e9_tail_latency as e9;
-
-use dcmaint_des::SimDuration;
-
-/// Format a duration compactly for table cells.
-pub(crate) fn fdur(d: SimDuration) -> String {
-    d.to_string()
-}

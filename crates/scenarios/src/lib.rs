@@ -3,8 +3,8 @@
 //! Ties every substrate together: [`config::ScenarioConfig`] describes a
 //! run, [`engine::run`] executes it deterministically, and
 //! [`report::RunReport`] carries everything measured. The `experiments`
-//! module regenerates every quantitative claim in the paper (E1–E11,
-//! indexed in EXPERIMENTS.md).
+//! module regenerates every quantitative claim in the paper (E1–E16 and
+//! the A1–A3 ablations, indexed in EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 

@@ -5,14 +5,19 @@
 //! * [`run_experiment_sweep`] — the `experiments` binary's engine. Fans
 //!   (experiment × seed-replicate) jobs across the pool, then folds each
 //!   experiment's K replicate tables into one mean ±95% CI table with
-//!   [`aggregate_tables`]. With `--seeds 1` the fold is the identity, so
-//!   the legacy single-seed output is reproduced byte-for-byte.
+//!   [`Table::fold`]. With `--seeds 1` the fold is the identity, so the
+//!   legacy single-seed output is reproduced byte-for-byte.
 //! * [`run_engine_sweep`] — the `selfmaint sweep` subcommand's engine.
 //!   Fans (automation level × seed-replicate) full engine runs, extracts
-//!   the [`SweepMetrics`] vector per job, and renders one level × metric
-//!   table with CI columns. Observability merges too: replicate
-//!   registries fold via `ObsRegistry::merge` and journals concatenate
-//!   in canonical job order under `sweep-job` header lines.
+//!   the [`SweepMetrics`] vector per job, and folds each level's
+//!   replicates with [`Cell::fold_row`] into one row of E1's columns
+//!   ([`e1::cells`]). Observability merges too: replicate registries
+//!   fold via `ObsRegistry::merge` and journals concatenate in canonical
+//!   job order under `sweep-job` header lines.
+//!
+//! Both sweeps therefore fold typed cells the one way `dcmaint_metrics`
+//! defines: the value of a cell, not its rounded text, becomes the mean
+//! ±95% CI.
 //!
 //! The determinism contract is inherited from the pool: jobs share
 //! nothing, completions are merged back to plan order before anything
@@ -22,14 +27,16 @@
 //! row, never a hang.
 
 use dcmaint_des::SimDuration;
-use dcmaint_metrics::{fnum, mean_ci95, nines, Align, Table};
+use dcmaint_metrics::{Align, Cell, Table};
 use dcmaint_obs::{ObsConfig, ObsRegistry};
-use dcmaint_sweep::{aggregate_tables, derive_seed, run_jobs, JobResult};
+use dcmaint_sweep::{derive_seed, run_jobs, JobResult};
 use maintctl::AutomationLevel;
 
 use crate::config::ScenarioConfig;
 use crate::engine::run;
-use crate::experiments::{self as exp, fdur};
+use crate::experiments::{
+    ablations as ab, e1, e10, e11, e12, e13, e14, e15, e16, e2, e3, e4, e5, e6, e7, e8, e9,
+};
 use crate::report::SweepMetrics;
 
 /// Canonical experiment order — the order the legacy binary printed in.
@@ -90,82 +97,55 @@ pub fn failures_table(failures: &[SweepFailure]) -> Table {
 /// first (and the pool would contain the panic anyway).
 pub fn run_one(name: &str, seed: u64, quick: bool) -> Vec<Table> {
     match name {
-        "e1" => vec![exp::e1::table(&exp::e1::run_experiment(
-            &exp::e1::E1Params::full(seed),
-        ))],
-        "e2" => vec![exp::e2::table(&exp::e2::run_experiment(
-            &exp::e2::E2Params::full(seed),
-        ))],
-        "e3" => vec![exp::e3::table(&exp::e3::run_experiment(
-            &exp::e3::E3Params::full(seed),
-        ))],
-        "e4" => vec![exp::e4::table(&exp::e4::run_experiment(
-            &exp::e4::E4Params::full(seed),
-        ))],
-        "e5" => vec![exp::e5::table(&exp::e5::run_experiment(
-            &exp::e5::E5Params::standard(),
-        ))],
-        "e6" => vec![exp::e6::table(&exp::e6::run_experiment(
-            &exp::e6::E6Params::full(seed),
-        ))],
-        "e7" => vec![exp::e7::table(&exp::e7::run_experiment(
-            &exp::e7::E7Params::full(seed),
-        ))],
-        "e8" => vec![exp::e8::table(&exp::e8::run_experiment(
-            &exp::e8::E8Params::full(seed),
-        ))],
-        "e9" => vec![exp::e9::table(&exp::e9::run_experiment(
-            &exp::e9::E9Params::full(seed),
-        ))],
-        "e10" => vec![exp::e10::table(&exp::e10::run_experiment(
-            &exp::e10::E10Params::full(seed),
-        ))],
-        "e11" => {
-            let p = exp::e11::E11Params::full(seed);
-            vec![
-                exp::e11::table(&exp::e11::run_experiment(&p)),
-                exp::e11::weights_table(&p),
-            ]
-        }
-        "e12" => vec![exp::e12::table(&exp::e12::run_experiment(
-            &exp::e12::E12Params::full(seed),
-        ))],
-        "e13" => vec![exp::e13::table(&exp::e13::run_experiment(
-            &exp::e13::E13Params::full(seed),
-        ))],
+        "e1" => vec![e1::table(&e1::run_experiment(&e1::E1Params::full(seed)))],
+        "e2" => vec![e2::table(&e2::run_experiment(&e2::E2Params::full(seed)))],
+        "e3" => vec![e3::table(&e3::run_experiment(&e3::E3Params::full(seed)))],
+        "e4" => vec![e4::table(&e4::run_experiment(&e4::E4Params::full(seed)))],
+        "e5" => vec![e5::table(&e5::run_experiment(&e5::E5Params::standard()))],
+        "e6" => vec![e6::table(&e6::run_experiment(&e6::E6Params::full(seed)))],
+        "e7" => vec![e7::table(&e7::run_experiment(&e7::E7Params::full(seed)))],
+        "e8" => vec![e8::table(&e8::run_experiment(&e8::E8Params::full(seed)))],
+        "e9" => vec![e9::table(&e9::run_experiment(&e9::E9Params::full(seed)))],
+        "e10" => vec![e10::table(&e10::run_experiment(&e10::E10Params::full(
+            seed,
+        )))],
+        "e11" => vec![
+            e11::table(&e11::run_experiment(&e11::E11Params::full(seed))),
+            e11::weights_table(),
+        ],
+        "e12" => vec![e12::table(&e12::run_experiment(&e12::E12Params::full(
+            seed,
+        )))],
+        "e13" => vec![e13::table(&e13::run_experiment(&e13::E13Params::full(
+            seed,
+        )))],
         "e14" => {
             let p = if quick {
-                exp::e14::E14Params::quick(seed)
+                e14::E14Params::quick(seed)
             } else {
-                exp::e14::E14Params::full(seed)
+                e14::E14Params::full(seed)
             };
-            vec![exp::e14::table(&exp::e14::run_experiment(&p))]
+            vec![e14::table(&e14::run_experiment(&p))]
         }
         "e15" => {
             let p = if quick {
-                exp::e15::E15Params::quick(seed)
+                e15::E15Params::quick(seed)
             } else {
-                exp::e15::E15Params::full(seed)
+                e15::E15Params::full(seed)
             };
-            vec![exp::e15::table(&exp::e15::run_experiment(&p))]
+            vec![e15::table(&e15::run_experiment(&p))]
         }
         "e16" => {
             let p = if quick {
-                exp::e16::E16Params::quick(&[seed])
+                e16::E16Params::quick(&[seed])
             } else {
-                exp::e16::E16Params::full(&[seed])
+                e16::E16Params::full(&[seed])
             };
-            vec![exp::e16::table(&exp::e16::run_experiment(&p))]
+            vec![e16::table(&e16::run_experiment(&p))]
         }
-        "a1" => vec![exp::ablations::a1_table(&exp::ablations::run_a1(
-            &exp::ablations::AblationParams::full(seed),
-        ))],
-        "a2" => vec![exp::ablations::a2_table(&exp::ablations::run_a2(
-            &exp::ablations::AblationParams::full(seed),
-        ))],
-        "a3" => vec![exp::ablations::a3_table(&exp::ablations::run_a3(
-            &exp::ablations::AblationParams::full(seed),
-        ))],
+        "a1" => vec![ab::a1_table(&ab::run_a1(&ab::AblationParams::full(seed)))],
+        "a2" => vec![ab::a2_table(&ab::run_a2(&ab::AblationParams::full(seed)))],
+        "a3" => vec![ab::a3_table(&ab::run_a3(&ab::AblationParams::full(seed)))],
         other => panic!("unknown experiment {other:?}"),
     }
 }
@@ -226,16 +206,10 @@ pub fn run_experiment_sweep(
                 }),
             }
         }
-        let Some(first) = ok.first() else {
-            continue; // every replicate failed; the failures rows tell the story
-        };
-        if ok.len() == 1 {
-            tables.extend(ok.remove(0));
-            continue;
-        }
-        for j in 0..first.len() {
+        // No survivor yields no table; the failures rows tell the story.
+        for j in 0..ok.first().map_or(0, Vec::len) {
             let position: Vec<Table> = ok.iter().map(|ts| ts[j].clone()).collect();
-            match aggregate_tables(&position) {
+            match Table::fold(&position) {
                 Ok(t) => tables.push(t),
                 Err(e) => failures.push(SweepFailure {
                     label: name.to_string(),
@@ -420,22 +394,6 @@ fn engine_config(p: &EngineSweepParams, level: AutomationLevel, seed: u64) -> Sc
     cfg
 }
 
-fn dur_cell(values_s: &[f64]) -> String {
-    let ci = mean_ci95(values_s);
-    let mean = SimDuration::from_secs_f64(ci.mean.max(0.0));
-    if values_s.len() <= 1 || !ci.half.is_finite() {
-        return mean.to_string();
-    }
-    format!("{mean} ±{}", SimDuration::from_secs_f64(ci.half))
-}
-
-fn num_cell(values: &[f64], digits: usize) -> String {
-    if values.len() == 1 {
-        return fnum(values[0], digits);
-    }
-    mean_ci95(values).cell(digits)
-}
-
 /// Fan (level × replicate) engine runs across the pool, extract the
 /// sweep metric vector from each, and merge everything — table rows,
 /// registries, journals — in canonical plan order.
@@ -503,16 +461,7 @@ pub fn run_engine_sweep(p: &EngineSweepParams) -> EngineSweepOutcome {
             if seeds == 1 { "" } else { "s" },
             p.base_seed
         ),
-        &[
-            ("level", Align::Left),
-            ("median window", Align::Right),
-            ("p95 window", Align::Right),
-            ("availability", Align::Right),
-            ("nines", Align::Right),
-            ("fixed tickets", Align::Right),
-            ("tech time", Align::Right),
-            ("cost $", Align::Right),
-        ],
+        &e1::COLUMNS,
     );
     let mut failures = Vec::new();
     let mut registry = if p.obs || p.profiling {
@@ -523,7 +472,7 @@ pub fn run_engine_sweep(p: &EngineSweepParams) -> EngineSweepOutcome {
     let mut journal = Vec::new();
 
     for (li, &level) in p.levels.iter().enumerate() {
-        let mut ok: Vec<&EngineJobOut> = Vec::new();
+        let mut replicates: Vec<Vec<Cell>> = Vec::new();
         for k in 0..seeds {
             let seed = derive_seed(p.base_seed, level.label(), k);
             match &results[li * seeds as usize + k as usize] {
@@ -539,7 +488,7 @@ pub fn run_engine_sweep(p: &EngineSweepParams) -> EngineSweepOutcome {
                     if p.obs || p.profiling {
                         registry.merge(&out.registry);
                     }
-                    ok.push(out);
+                    replicates.push(e1::cells(level, &out.metrics));
                 }
                 Err(e) => failures.push(SweepFailure {
                     label: level.label().to_string(),
@@ -549,46 +498,14 @@ pub fn run_engine_sweep(p: &EngineSweepParams) -> EngineSweepOutcome {
                 }),
             }
         }
-        if ok.is_empty() {
-            table.row(vec![
-                level.label().to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
+        if replicates.is_empty() {
+            // Every replicate failed; the failures table tells the story.
+            let mut row = vec![Cell::from("-"); e1::COLUMNS.len()];
+            row[0] = level.label().into();
+            table.row(row);
             continue;
         }
-        let m: Vec<SweepMetrics> = ok.iter().map(|o| o.metrics).collect();
-        if m.len() == 1 {
-            // Single replicate: render exactly like the E1 row format.
-            let r = m[0];
-            table.row(vec![
-                level.label().to_string(),
-                fdur(r.median_window),
-                fdur(r.p95_window),
-                fnum(r.availability, 5),
-                fnum(nines(r.availability), 2),
-                r.tickets_fixed.to_string(),
-                fdur(r.tech_time),
-                fnum(r.cost, 0),
-            ]);
-            continue;
-        }
-        let col = |f: &dyn Fn(&SweepMetrics) -> f64| m.iter().map(f).collect::<Vec<f64>>();
-        table.row(vec![
-            level.label().to_string(),
-            dur_cell(&col(&|r| r.median_window.as_secs_f64())),
-            dur_cell(&col(&|r| r.p95_window.as_secs_f64())),
-            num_cell(&col(&|r| r.availability), 5),
-            num_cell(&col(&|r| nines(r.availability)), 2),
-            num_cell(&col(&|r| r.tickets_fixed as f64), 1),
-            dur_cell(&col(&|r| r.tech_time.as_secs_f64())),
-            num_cell(&col(&|r| r.cost), 0),
-        ]);
+        table.row(Cell::fold_row(&replicates));
     }
 
     // Registry snapshot lines close the merged journal, mirroring how a

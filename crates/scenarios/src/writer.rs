@@ -18,6 +18,7 @@ use std::io::{self, Write};
 
 use dcmaint_metrics::Table;
 use dcmaint_obs::{JVal, Journal};
+use serde_json::Value;
 
 /// Output encoding for experiment tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,51 +113,19 @@ impl<W: Write> ReportWriter<W> {
     }
 }
 
-/// One-line JSON encoding of a table (title, columns, rows of strings).
+/// One-line JSON encoding of a table: title, columns, and rows of
+/// rendered cell strings, in that key order.
 fn table_jsonl(t: &Table) -> String {
-    let mut out = String::from("{\"table\":");
-    push_json_str(&mut out, t.title());
-    out.push_str(",\"columns\":[");
-    for (i, h) in t.headers().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, h);
-    }
-    out.push_str("],\"rows\":[");
-    for (i, row) in t.rows().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, cell) in row.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, cell);
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
-    out
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let strings = |xs: Vec<String>| Value::Array(xs.into_iter().map(Value::String).collect());
+    let rows = t.rows().iter();
+    let rows = rows.map(|r| strings(r.iter().map(ToString::to_string).collect()));
+    let json = |v: Value| serde_json::to_string(&v).expect("a JSON value always serializes");
+    format!(
+        "{{\"table\":{},\"columns\":{},\"rows\":{}}}",
+        json(Value::from(t.title())),
+        json(strings(t.headers().into_iter().map(String::from).collect())),
+        json(Value::Array(rows.collect())),
+    )
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ impl JobSpec {
                 "level" => {
                     level = Some(match v {
                         "all" => None,
-                        other => Some(parse_level(other)?),
+                        other => Some(other.parse()?),
                     })
                 }
                 "days" => days = parse_num(k, v)?,
@@ -210,17 +210,6 @@ impl JobSpec {
             cfg.obs.profiling = true;
         }
         cfg
-    }
-}
-
-fn parse_level(s: &str) -> Result<AutomationLevel, String> {
-    match s.to_ascii_uppercase().as_str() {
-        "L0" | "0" => Ok(AutomationLevel::L0),
-        "L1" | "1" => Ok(AutomationLevel::L1),
-        "L2" | "2" => Ok(AutomationLevel::L2),
-        "L3" | "3" => Ok(AutomationLevel::L3),
-        "L4" | "4" => Ok(AutomationLevel::L4),
-        other => Err(format!("unknown level {other:?} (use L0..L4 or all)")),
     }
 }
 

@@ -17,9 +17,10 @@
 //!    OS produces and quarantines that nondeterminism behind
 //!    [`merge_canonical`], which restores plan order before anything
 //!    renders.
-//! 3. Replicate aggregation ([`aggregate_tables`]) and CI math
-//!    (`dcmaint_metrics::mean_ci95`) are pure folds over plan-ordered
-//!    inputs.
+//! 3. Replicate folding (`dcmaint_metrics::Table::fold` over typed
+//!    cells, CI math from `dcmaint_metrics::mean_ci95`) is a pure
+//!    function of the plan-ordered results, so it inherits the
+//!    contract.
 //!
 //! Worker panics are contained per job ([`JobError`]), never hang the
 //! pool, and render identically at any worker count. Wall-clock scaling
@@ -30,11 +31,9 @@
 
 mod merge;
 mod pool;
-mod replicate;
 
 pub use merge::{merge_canonical, Completed};
 pub use pool::{run_jobs, JobError, JobResult};
-pub use replicate::aggregate_tables;
 
 use dcmaint_des::SimRng;
 

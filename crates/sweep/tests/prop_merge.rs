@@ -3,11 +3,11 @@
 //! The pool records completions in whatever order the OS produces; the
 //! determinism contract says the *merged* output — report tables and
 //! journal bytes — is a pure function of the plan. These tests drive
-//! `merge_canonical` + `aggregate_tables` with adversarially shuffled
+//! `merge_canonical` + `Table::fold` with adversarially shuffled
 //! completion schedules and assert the rendered bytes never move.
 
-use dcmaint_metrics::{fnum, Align, Table};
-use dcmaint_sweep::{aggregate_tables, derive_seed, merge_canonical, Completed, JobResult};
+use dcmaint_metrics::{Align, Cell, Table};
+use dcmaint_sweep::{derive_seed, merge_canonical, Completed, JobResult};
 use proptest::prelude::*;
 
 /// Deterministic Fisher–Yates driven by a splitmix-style seed, so the
@@ -48,18 +48,18 @@ fn fake_run(replicate: u64, base: u64) -> FakeRun {
 }
 
 fn render_outcome(merged: &[JobResult<FakeRun>]) -> (String, String) {
-    // Table path: one replicate table per job, folded with the CI
-    // aggregator; journal path: concatenation in plan order.
+    // Table path: one replicate table per job, folded into mean ±95% CI
+    // cells; journal path: concatenation in plan order.
     let tables: Vec<Table> = merged
         .iter()
         .map(|r| {
             let run = r.as_ref().expect("no panics in this property");
             let mut t = Table::new("prop", &[("k", Align::Left), ("v", Align::Right)]);
-            t.row(vec!["row".to_string(), fnum(run.value, 1)]);
+            t.row(vec![Cell::from("row"), Cell::Num(run.value, 1)]);
             t
         })
         .collect();
-    let table_bytes = aggregate_tables(&tables).expect("same shape").render();
+    let table_bytes = Table::fold(&tables).expect("same shape").render();
     let journal_bytes = merged
         .iter()
         .flat_map(|r| r.as_ref().unwrap().journal.iter().cloned())

@@ -21,8 +21,11 @@
 //!                  # tree (--incident) and the JSONL journal (--journal)
 //! selfmaint sweep  [--seeds 8] [--jobs 1] [--days 14] [--seed 42]
 //!                  [--level L3|all] [--quick] [--csv] [--obs]
-//!                  [--autonomic] [--journal PATH]
+//!                  [--profile] [--autonomic] [--journal PATH]
 //!                  [--inject-panic I] [--manifest DIR] [--resume]
+//!                  # --profile runs every job with the engine
+//!                  # self-profiler on and prints the merged `prof/…`
+//!                  # counters with the obs counters
 //!                  # --autonomic runs every job with the MAPE-K loop on
 //!                  # (DESIGN §3.16); stdout stays byte-identical for any
 //!                  # --jobs value, giving an exact A/B against the same
@@ -227,22 +230,8 @@ fn cmd_serve(args: &[String]) {
     eprintln!("selfmaint serve: drained cleanly");
 }
 
-fn parse_level(s: &str) -> AutomationLevel {
-    match s.to_ascii_uppercase().as_str() {
-        "L0" | "0" => AutomationLevel::L0,
-        "L1" | "1" => AutomationLevel::L1,
-        "L2" | "2" => AutomationLevel::L2,
-        "L3" | "3" => AutomationLevel::L3,
-        "L4" | "4" => AutomationLevel::L4,
-        other => {
-            eprintln!("unknown level {other:?} (use L0..L4)");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn cmd_run(args: &[String]) {
-    let level = parse_level(opt(args, "--level").unwrap_or("L3"));
+    let level = parse_opt_or_exit(args, "--level", AutomationLevel::L3);
     let days: u64 = parse_opt_or_exit(args, "--days", 30);
     let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
     let mut cfg = ScenarioConfig::at_level(seed, level);
@@ -491,7 +480,7 @@ fn cmd_topo(args: &[String]) {
 }
 
 fn cmd_trace(args: &[String]) {
-    let level = parse_level(opt(args, "--level").unwrap_or("L3"));
+    let level = parse_opt_or_exit(args, "--level", AutomationLevel::L3);
     let days: u64 = parse_opt_or_exit(args, "--days", 14);
     let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
     let incident: Option<usize> = parse_opt_maybe_or_exit(args, "--incident");
@@ -582,7 +571,7 @@ fn cmd_sweep(args: &[String]) {
     let resume = flag(args, "--resume");
     let levels = match opt(args, "--level") {
         None | Some("all") => AutomationLevel::ALL.to_vec(),
-        Some(s) => vec![parse_level(s)],
+        Some(_) => vec![parse_opt_or_exit(args, "--level", AutomationLevel::L3)],
     };
     if seeds == 0 {
         eprintln!("--seeds must be at least 1");
@@ -670,7 +659,7 @@ fn cmd_sweep(args: &[String]) {
 /// timings and is *not* byte-reproducible.
 fn cmd_profile(args: &[String]) {
     let p = ProfileParams {
-        level: parse_level(opt(args, "--level").unwrap_or("L3")),
+        level: parse_opt_or_exit(args, "--level", AutomationLevel::L3),
         days: parse_opt_or_exit(args, "--days", 14),
         base_seed: parse_opt_or_exit(args, "--seed", 42),
         seeds: parse_opt_or_exit(args, "--seeds", 1),
@@ -808,7 +797,7 @@ fn sig(v: f64) -> String {
 }
 
 fn cmd_bisect(args: &[String]) {
-    let level = parse_level(opt(args, "--level").unwrap_or("L3"));
+    let level = parse_opt_or_exit(args, "--level", AutomationLevel::L3);
     let days: u64 = parse_opt_or_exit(args, "--days", 12);
     let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
     let seed_b: Option<u64> = parse_opt_maybe_or_exit(args, "--seed-b");

@@ -39,11 +39,11 @@
 //! | [`obs`] | `dcmaint-obs` | incident span traces, event journal, counters/histograms |
 //! | [`ckpt`] | `dcmaint-ckpt` | versioned snapshot codec, state hashing, byte-deterministic checkpoints |
 //! | [`topomaint`] | `dcmaint-topomaint` | self-maintainability metric |
-//! | [`metrics`] | `dcmaint-metrics` | stats, availability, costs, tables |
-//! | [`sweep`] | `dcmaint-sweep` | work-stealing pool, canonical merge, seed-replicate CI aggregation |
+//! | [`metrics`] | `dcmaint-metrics` | stats, availability, costs, typed tables and their seed-replicate fold |
+//! | [`sweep`] | `dcmaint-sweep` | work-stealing pool, canonical merge, seed-replicate derivation |
 //! | [`twin`] | `dcmaint-twin` | digital-twin forking: model-predictive repair planning policy |
 //! | [`autonomic`] | `dcmaint-autonomic` | MAPE-K control plane: windowed monitoring, efficacy posteriors, guardrailed online knob tuning |
-//! | [`scenarios`] | `dcmaint-scenarios` | the engine + experiments E1–E11, sweep orchestration |
+//! | [`scenarios`] | `dcmaint-scenarios` | the engine + experiments E1–E16 and ablations A1–A3, sweep orchestration |
 //! | [`serve`] | `dcmaint-serve` | crash-tolerant maintenance-plane daemon: durable job queue, supervised worker, live journal fan-out |
 //! | [`bench`](mod@bench) | `dcmaint-bench` | the `selfmaint bench` suite (five cases, `BENCH.json` schema, baseline gate) and the engine profiler behind `selfmaint profile` |
 //!

@@ -40,13 +40,26 @@ fn engine_sweep_stdout_and_journal_are_worker_count_invariant() {
 
 #[test]
 fn experiment_sweep_tables_are_worker_count_invariant() {
-    let serial = run_experiment_sweep(&["e5"], 2024, 2, 1, true);
-    let parallel = run_experiment_sweep(&["e5"], 2024, 2, 4, true);
+    // E5 is seed-free, so every cell passes through; E16 (quick preset)
+    // is seeded, so its measured cells fold into mean ±CI while its seed
+    // column, a configuration key, must not be averaged.
+    let serial = run_experiment_sweep(&["e5", "e16"], 2024, 2, 1, true);
+    let parallel = run_experiment_sweep(&["e5", "e16"], 2024, 2, 4, true);
     let bytes = |s: &selfmaint::scenarios::sweep::ExperimentSweep| {
         s.tables.iter().map(|t| t.render()).collect::<String>()
     };
     assert_eq!(bytes(&serial), bytes(&parallel));
     assert!(serial.failures.is_empty() && parallel.failures.is_empty());
+
+    let e16 = &serial.tables[1];
+    assert!(e16.title().starts_with("E16"), "{}", e16.title());
+    let column = |name: &str| e16.headers().iter().position(|h| *h == name).unwrap();
+    let (seed, availability) = (column("seed"), column("availability"));
+    for row in e16.rows() {
+        let (s, a) = (row[seed].to_string(), row[availability].to_string());
+        assert!(!s.contains('±'), "seed cell folded as a number: {s}");
+        assert!(a.contains('±'), "availability cell did not fold: {a}");
+    }
 }
 
 #[test]

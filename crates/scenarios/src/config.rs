@@ -233,10 +233,10 @@ impl ScenarioConfig {
     }
 
     /// Reshape to the small CI fabric every `--quick` run shares (one
-    /// E1 quick cell, `sweep --quick`, `profile --quick`, the bench
-    /// suite's `twin` and `sweep` cases, serve's
-    /// `quick=1`): a 2×6×2 leaf-spine, 120 s telemetry polls and a
-    /// 12-day per-link MTBI, so a two-week run stays busy but fast.
+    /// E1 quick cell, `sweep --quick`, `profile --quick`,
+    /// `bisect --quick`, the bench suite's `twin` and `sweep` cases,
+    /// serve's `quick=1`): a 2×6×2 leaf-spine, 120 s telemetry polls and
+    /// a 12-day per-link MTBI, so a two-week run stays busy but fast.
     pub fn apply_quick_fabric(&mut self) {
         self.topology = TopologySpec::LeafSpine {
             spines: 2,

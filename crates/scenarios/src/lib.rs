@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod bisect;
-pub mod cli;
 pub mod config;
 pub mod engine;
 pub mod experiments;
@@ -26,4 +25,4 @@ pub use sweep::{
     failures_table, is_experiment, run_engine_sweep, run_experiment_sweep, EngineSweepOutcome,
     EngineSweepParams, ExperimentSweep, SweepFailure, EXPERIMENTS,
 };
-pub use writer::{ReportFormat, ReportWriter};
+pub use writer::ReportFormat;

@@ -2,7 +2,7 @@
 //!
 //! Two front doors, both built on `dcmaint-sweep`:
 //!
-//! * [`run_experiment_sweep`] — the `experiments` binary's engine. Fans
+//! * [`run_experiment_sweep`] — the `selfmaint experiments` engine. Fans
 //!   (experiment × seed-replicate) jobs across the pool, then folds each
 //!   experiment's K replicate tables into one mean ±95% CI table with
 //!   [`Table::fold`]. With `--seeds 1` the fold is the identity, so the
@@ -88,10 +88,11 @@ pub fn failures_table(failures: &[SweepFailure]) -> Table {
 }
 
 /// Run one experiment end to end at one seed, returning its rendered
-/// tables (E11 yields two; everything else one). Mirrors the legacy
-/// `experiments` binary dispatch exactly: E5's provisioning math is
-/// seed-free, and `quick` switches E14 and E15 to their CI-sized
-/// variants.
+/// tables (E11 yields two; everything else one). E5's provisioning math
+/// is seed-free. `quick` switches only E14, E15 and E16 to their
+/// CI-sized presets; the other 16 always run full size, so
+/// `selfmaint experiments --quick` prints the full-size tables
+/// EXPERIMENTS.md publishes next to quick E14–E16.
 ///
 /// Panics on an unknown name — callers validate with [`is_experiment`]
 /// first (and the pool would contain the panic anyway).

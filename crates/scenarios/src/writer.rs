@@ -1,23 +1,10 @@
-//! Journal-aware report writer for experiment binaries.
-//!
-//! The experiment runners used to `println!` each table straight to
-//! stdout, which meant the observability plane never saw a report go
-//! out and alternative encodings (CSV, JSONL) were ad-hoc flags spread
-//! through `main`. [`ReportWriter`] centralizes that: every table goes
-//! through [`ReportWriter::emit`], which renders it in the selected
-//! [`ReportFormat`] and — when a [`Journal`] is attached — records a
-//! `report-table` event so a run's journal shows *what was reported*,
-//! not just what was simulated.
-//!
-//! The `Text` format is byte-identical to the old
-//! `println!("{}", table.render())` behavior, and `Csv` to the old
-//! `println!("# {title}")` + `println!("{csv}")` pair, so existing
-//! golden outputs and shell pipelines are unaffected.
+//! The report writer for experiment tables: every table
+//! `selfmaint experiments` prints goes through [`ReportFormat::emit`].
+//! Each table ends with one blank line in the text and CSV formats.
 
 use std::io::{self, Write};
 
 use dcmaint_metrics::Table;
-use dcmaint_obs::{JVal, Journal};
 use serde_json::Value;
 
 /// Output encoding for experiment tables.
@@ -31,85 +18,19 @@ pub enum ReportFormat {
     Jsonl,
 }
 
-/// Writes experiment tables to a sink in one of the [`ReportFormat`]s,
-/// optionally recording each emission into an observability [`Journal`].
-#[derive(Debug)]
-pub struct ReportWriter<W: Write> {
-    out: W,
-    format: ReportFormat,
-    journal: Journal,
-    tables: u64,
-}
-
-impl ReportWriter<io::Stdout> {
-    /// Writer targeting stdout (what the binaries use).
-    pub fn stdout(format: ReportFormat) -> Self {
-        ReportWriter::new(io::stdout(), format)
-    }
-}
-
-impl<W: Write> ReportWriter<W> {
-    /// Writer targeting an arbitrary sink with no journal attached.
-    pub fn new(out: W, format: ReportFormat) -> Self {
-        ReportWriter {
-            out,
-            format,
-            journal: Journal::disabled(),
-            tables: 0,
-        }
-    }
-
-    /// Attach a journal; each emitted table records a `report-table`
-    /// event (a disabled journal makes this a no-op).
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = journal;
-        self
-    }
-
-    /// Selected output format.
-    pub fn format(&self) -> ReportFormat {
-        self.format
-    }
-
-    /// Number of tables emitted so far.
-    pub fn tables_emitted(&self) -> u64 {
-        self.tables
-    }
-
-    /// Render one table to the sink in the configured format.
-    pub fn emit(&mut self, t: &Table) -> io::Result<()> {
-        match self.format {
-            // `println!` appends one newline to `render()`/`to_csv()`
-            // (both already newline-terminated), leaving a blank
-            // separator line between tables. Preserve that exactly.
-            ReportFormat::Text => writeln!(self.out, "{}", t.render())?,
+impl ReportFormat {
+    /// Render one table to `out` in this format.
+    pub fn emit(self, out: &mut impl Write, t: &Table) -> io::Result<()> {
+        match self {
+            // `render()` and `to_csv()` already end in a newline, so
+            // `writeln!` leaves a blank line between tables.
+            ReportFormat::Text => writeln!(out, "{}", t.render()),
             ReportFormat::Csv => {
-                writeln!(self.out, "# {}", t.title())?;
-                writeln!(self.out, "{}", t.to_csv())?;
+                writeln!(out, "# {}", t.title())?;
+                writeln!(out, "{}", t.to_csv())
             }
-            ReportFormat::Jsonl => writeln!(self.out, "{}", table_jsonl(t))?,
+            ReportFormat::Jsonl => writeln!(out, "{}", table_jsonl(t)),
         }
-        self.tables += 1;
-        self.journal.emit(
-            "report-table",
-            &[
-                ("seq", JVal::U(self.tables)),
-                ("cols", JVal::U(t.headers().len() as u64)),
-                ("rows", JVal::U(t.len() as u64)),
-            ],
-        );
-        Ok(())
-    }
-
-    /// Emit a sequence of tables in order (what sweep outputs use).
-    pub fn emit_all<'a, I>(&mut self, tables: I) -> io::Result<()>
-    where
-        I: IntoIterator<Item = &'a Table>,
-    {
-        for t in tables {
-            self.emit(t)?;
-        }
-        Ok(())
     }
 }
 
@@ -144,10 +65,7 @@ mod tests {
     fn text_matches_legacy_println_bytes() {
         let t = demo();
         let mut buf = Vec::new();
-        ReportWriter::new(&mut buf, ReportFormat::Text)
-            .emit(&t)
-            .unwrap();
-        // Exactly what `println!("{}", t.render())` produced.
+        ReportFormat::Text.emit(&mut buf, &t).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), format!("{}\n", t.render()));
     }
 
@@ -155,9 +73,7 @@ mod tests {
     fn csv_matches_legacy_println_bytes() {
         let t = demo();
         let mut buf = Vec::new();
-        ReportWriter::new(&mut buf, ReportFormat::Csv)
-            .emit(&t)
-            .unwrap();
+        ReportFormat::Csv.emit(&mut buf, &t).unwrap();
         assert_eq!(
             String::from_utf8(buf).unwrap(),
             format!("# {}\n{}\n", t.title(), t.to_csv())
@@ -167,12 +83,9 @@ mod tests {
     #[test]
     fn jsonl_is_one_object_per_table() {
         let mut buf = Vec::new();
-        let emitted = {
-            let mut w = ReportWriter::new(&mut buf, ReportFormat::Jsonl);
-            w.emit(&demo()).unwrap();
-            w.emit(&demo()).unwrap();
-            w.tables_emitted()
-        };
+        for t in [demo(), demo()] {
+            ReportFormat::Jsonl.emit(&mut buf, &t).unwrap();
+        }
         let s = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -181,7 +94,6 @@ mod tests {
             "{\"table\":\"demo\",\"columns\":[\"name\",\"n\"],\
              \"rows\":[[\"alpha\",\"1\"],[\"beta\",\"22\"]]}"
         );
-        assert_eq!(emitted, 2);
     }
 
     #[test]
@@ -189,33 +101,9 @@ mod tests {
         let mut t = Table::new("q\"t", &[("a", Align::Left)]);
         t.row(vec!["line\nbreak\ttab"]);
         let mut buf = Vec::new();
-        ReportWriter::new(&mut buf, ReportFormat::Jsonl)
-            .emit(&t)
-            .unwrap();
+        ReportFormat::Jsonl.emit(&mut buf, &t).unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert!(s.contains("\"q\\\"t\""));
         assert!(s.contains("line\\nbreak\\ttab"));
-    }
-
-    #[test]
-    fn attached_journal_records_each_table() {
-        let j = Journal::enabled(16);
-        let mut w = ReportWriter::new(Vec::new(), ReportFormat::Text).with_journal(j.clone());
-        w.emit(&demo()).unwrap();
-        w.emit(&demo()).unwrap();
-        let (emitted, dropped) = j.counts();
-        assert_eq!(emitted, 2);
-        assert_eq!(dropped, 0);
-        let lines = j.lines();
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"ev\":\"report-table\"") && l.contains("\"rows\":2")));
-    }
-
-    #[test]
-    fn disabled_journal_is_a_no_op() {
-        let mut w = ReportWriter::new(Vec::new(), ReportFormat::Text);
-        w.emit(&demo()).unwrap();
-        assert_eq!(w.tables_emitted(), 1);
     }
 }

@@ -75,13 +75,21 @@
 //!                  # for a graceful snapshot-and-drain. Worker panics
 //!                  # and kills are recovered from the last checkpoint
 //!                  # with byte-identical outputs
+//! selfmaint experiments [ID ...] [--quick] [--csv | --jsonl]
+//!                  [--seeds 1] [--jobs 1] [--seed 2024]
+//!                  # the EXPERIMENTS.md tables of each ID (e1..e16,
+//!                  # a1..a3; all 19 by default). --quick runs E14–E16
+//!                  # at their CI presets, the other 16 at full size (the
+//!                  # golden tests/fixtures/experiments-quick.txt).
+//!                  # --seeds K folds K seed replicates into mean ±95% CI
+//!                  # cells, byte-identical for any --jobs. Exits 1 when
+//!                  # a job fails
 //! ```
 //!
-//! Arguments are parsed by hand — the CLI surface is small and the
-//! project adds no dependency for it. The helpers live in
-//! `selfmaint::scenarios::cli` (shared with the `experiments` binary)
-//! and treat an unparseable flag value as a usage error, never a silent
-//! fall-back to the default.
+//! Each command accepts only the arguments it declares in `SUBCOMMANDS`.
+//! Anything else (`--help` included) or a value that does not parse
+//! exits 2 with the reason and the command's synopsis on stderr, before
+//! anything runs; a failure at run time exits 1.
 
 #![expect(
     clippy::print_stdout,
@@ -89,76 +97,266 @@
     reason = "the command line is this binary's interface"
 )]
 
+use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
+use std::str::FromStr;
+
 use selfmaint::bench::{gate, peak_rss_bytes, run_profile, run_suite, ProfileParams, Suite, REPS};
 use selfmaint::ckpt::Snapshot;
 use selfmaint::control::{advise, ControllerConfig};
 use selfmaint::metrics::{fnum, nines, Align, Table};
 use selfmaint::prelude::*;
 use selfmaint::scenarios::bisect::bisect;
-use selfmaint::scenarios::cli::{flag, opt, parse_opt_maybe_or_exit, parse_opt_or_exit};
-use selfmaint::scenarios::sweep::{failures_table, run_engine_sweep, EngineSweepParams};
-use selfmaint::scenarios::Engine;
+use selfmaint::scenarios::{failures_table, is_experiment, run_engine_sweep, run_experiment_sweep};
+use selfmaint::scenarios::{Engine, EngineSweepParams, ReportFormat, EXPERIMENTS};
 use selfmaint::serve::{ServeConfig, Server};
 
-/// One dispatchable subcommand: name, one-line description, handler.
-type Subcommand = (&'static str, &'static str, fn(&[String]));
+/// One dispatchable subcommand.
+#[derive(Debug)]
+struct Subcommand {
+    name: &'static str,
+    about: &'static str,
+    /// `--flag` is a switch, `--flag VALUE` a value flag, and a word
+    /// without dashes a placeholder that admits bare words.
+    args: &'static [&'static str],
+    /// An `Err` is a usage error: exit 2 with the command's synopsis.
+    run: fn(&Args) -> Result<(), String>,
+}
 
-/// The full subcommand surface. Both the dispatcher and the usage text
-/// derive from this table, so the two can never drift apart
-/// (`subcommand_table_drives_everything` pins the invariant).
+/// The full subcommand surface. The dispatcher, the parser, the command
+/// list and each command's synopsis derive from this table, so none of
+/// them can drift from the others (`subcommand_table_drives_everything`
+/// and `doc_comment_matches_the_table` pin it).
 const SUBCOMMANDS: &[Subcommand] = &[
-    (
-        "run",
-        "one scenario run; --json/--csv, --checkpoint-every, --resume",
-        cmd_run,
-    ),
-    (
-        "advise",
-        "spares provisioning advisor (Markov availability model)",
-        cmd_advise,
-    ),
-    (
-        "topo",
-        "self-maintainability report across the four topologies",
-        cmd_topo,
-    ),
-    ("levels", "print the automation-level taxonomy", cmd_levels),
-    (
-        "trace",
-        "run with the observability plane: spans and journal",
-        cmd_trace,
-    ),
-    (
-        "sweep",
-        "seed-replicated level sweep on the worker pool; resumable",
-        cmd_sweep,
-    ),
-    (
-        "profile",
-        "engine self-profiler: span shares per subsystem and leaf, hot counters",
-        cmd_profile,
-    ),
-    (
-        "bench",
-        "benchmark suite: five cases × 5 reps, BENCH.json, baseline gate",
-        cmd_bench,
-    ),
-    (
-        "bisect",
-        "localize where two runs first diverge, down to the event",
-        cmd_bisect,
-    ),
-    (
-        "serve",
-        "crash-tolerant daemon: durable job queue over TCP, live journal",
-        cmd_serve,
-    ),
+    Subcommand {
+        name: "run",
+        about: "one scenario run; --json/--csv, --checkpoint-every, --resume",
+        args: &[
+            "--level L",
+            "--days N",
+            "--seed S",
+            "--topology T",
+            "--robots-per-row N",
+            "--vendors N",
+            "--no-proactive",
+            "--no-predictive",
+            "--csv",
+            "--json",
+            "--policy P",
+            "--checkpoint-every D",
+            "--checkpoint-dir DIR",
+            "--resume FILE",
+        ],
+        run: cmd_run,
+    },
+    Subcommand {
+        name: "advise",
+        about: "spares provisioning advisor (Markov availability model)",
+        args: &["--mtbf-days D", "--mttr-mins M", "--need K", "--target A"],
+        run: cmd_advise,
+    },
+    Subcommand {
+        name: "topo",
+        about: "self-maintainability report across the four topologies",
+        args: &["--seed S"],
+        run: cmd_topo,
+    },
+    Subcommand {
+        name: "levels",
+        about: "print the automation-level taxonomy",
+        args: &[],
+        run: cmd_levels,
+    },
+    Subcommand {
+        name: "trace",
+        about: "run with the observability plane: spans and journal",
+        args: &[
+            "--level L",
+            "--days N",
+            "--seed S",
+            "--incident N",
+            "--journal PATH",
+        ],
+        run: cmd_trace,
+    },
+    Subcommand {
+        name: "sweep",
+        about: "seed-replicated level sweep on the worker pool; resumable",
+        args: &[
+            "--seeds K",
+            "--jobs N",
+            "--days N",
+            "--seed S",
+            "--level L",
+            "--quick",
+            "--csv",
+            "--obs",
+            "--profile",
+            "--autonomic",
+            "--journal PATH",
+            "--inject-panic I",
+            "--manifest DIR",
+            "--resume",
+        ],
+        run: cmd_sweep,
+    },
+    Subcommand {
+        name: "profile",
+        about: "engine self-profiler: span shares per subsystem and leaf, hot counters",
+        args: &[
+            "--level L",
+            "--days N",
+            "--seed S",
+            "--seeds K",
+            "--quick",
+            "--top K",
+        ],
+        run: cmd_profile,
+    },
+    Subcommand {
+        name: "bench",
+        about: "benchmark suite: five cases × 5 reps, BENCH.json, baseline gate",
+        args: &["--out PATH", "--baseline PATH"],
+        run: cmd_bench,
+    },
+    Subcommand {
+        name: "bisect",
+        about: "localize where two runs first diverge, down to the event",
+        args: &[
+            "--level L",
+            "--days N",
+            "--seed S",
+            "--seed-b S",
+            "--interval-days N",
+            "--quick",
+            "--out PATH",
+        ],
+        run: cmd_bisect,
+    },
+    Subcommand {
+        name: "serve",
+        about: "crash-tolerant daemon: durable job queue over TCP, live journal",
+        args: &[
+            "--port P",
+            "--spool DIR",
+            "--checkpoint-hours H",
+            "--max-queue N",
+            "--max-attempts N",
+            "--job-timeout-ms MS",
+            "--port-file PATH",
+        ],
+        run: cmd_serve,
+    },
+    Subcommand {
+        name: "experiments",
+        about: "regenerate the EXPERIMENTS.md tables; seed-replicated on the pool",
+        args: &[
+            "ID ...",
+            "--quick",
+            "--csv",
+            "--jsonl",
+            "--seeds K",
+            "--jobs N",
+            "--seed S",
+        ],
+        run: cmd_experiments,
+    },
 ];
+
+impl Subcommand {
+    /// `usage: selfmaint <name> [<arg>] …`.
+    fn synopsis(&self) -> String {
+        let args: String = self.args.iter().map(|a| format!(" [{a}]")).collect();
+        format!("usage: selfmaint {}{args}", self.name)
+    }
+
+    /// The declaration of flag `name`, if the command has one.
+    fn flag(&self, name: &str) -> Option<&'static str> {
+        let named = |d: &&str| d.starts_with("--") && d.split(' ').next() == Some(name);
+        self.args.iter().copied().find(named)
+    }
+}
+
+/// A command line that passed its command's declared list.
+#[derive(Debug)]
+struct Args {
+    cmd: &'static Subcommand,
+    /// Each given flag, with its value (`None` for a switch).
+    flags: BTreeMap<&'static str, Option<String>>,
+    /// The bare words, in order.
+    bare: Vec<String>,
+}
+
+/// Check `argv` (the words after the command name) against `cmd`'s
+/// declared arguments. Pure: it reads nothing and prints nothing.
+fn parse(cmd: &'static Subcommand, argv: &[String]) -> Result<Args, String> {
+    let takes_bare = cmd.args.iter().any(|a| !a.starts_with("--"));
+    let (mut flags, mut bare) = (BTreeMap::new(), Vec::new());
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if takes_bare && !word.starts_with('-') {
+            bare.push(word.clone());
+            continue;
+        }
+        let decl = cmd
+            .flag(word)
+            .ok_or_else(|| format!("unknown argument {word:?}"))?;
+        let (name, value) = match decl.split_once(' ') {
+            None => (decl, None),
+            Some((name, _)) => match words.next() {
+                Some(v) if !v.starts_with("--") => (name, Some(v.clone())),
+                _ => return Err(format!("{name} needs a value")),
+            },
+        };
+        if flags.insert(name, value).is_some() {
+            return Err(format!("{name} given twice"));
+        }
+    }
+    Ok(Args { cmd, flags, bare })
+}
+
+impl Args {
+    /// What the command line gave for `name`. Reading a flag the
+    /// command does not declare is a bug in its handler, so it panics.
+    fn given(&self, name: &str) -> Option<&Option<String>> {
+        let cmd = self.cmd.name;
+        let declared = self.cmd.flag(name).is_some();
+        assert!(declared, "`selfmaint {cmd}` does not declare {name}");
+        self.flags.get(name)
+    }
+
+    /// Is the switch `name` given?
+    fn flag(&self, name: &str) -> bool {
+        self.given(name).is_some()
+    }
+
+    /// The value given for the value flag `name`.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.given(name)?.as_deref()
+    }
+
+    /// The value of `name` parsed as a `T`, `None` when the flag is
+    /// absent. A value that does not parse is an error naming the flag
+    /// and the value, never a fall-back to a default.
+    fn parse<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |raw: &str| {
+            raw.parse()
+                .map_err(|e| format!("invalid value {raw:?} for {name}: {e}"))
+        };
+        self.value(name).map(parse).transpose()
+    }
+
+    /// [`Args::parse`], with `default` when the flag is absent.
+    fn parse_or<T: FromStr<Err: Display>>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.parse(name)?.unwrap_or(default))
+    }
+}
 
 fn usage() -> String {
     let mut s = String::from("usage: selfmaint <command> [options]\n\ncommands:\n");
-    for (name, desc, _) in SUBCOMMANDS {
-        s.push_str(&format!("  {name:<8}{desc}\n"));
+    for c in SUBCOMMANDS {
+        s.push_str(&format!("  {:<13}{}\n", c.name, c.about));
     }
     s.push_str(
         "\ntry: selfmaint run --level L3 --days 30\n\
@@ -169,74 +367,74 @@ fn usage() -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let hit = args
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = argv
         .first()
-        .and_then(|name| SUBCOMMANDS.iter().find(|(n, _, _)| n == name));
-    match hit {
-        Some((_, _, handler)) => handler(&args[1..]),
-        None => {
-            eprint!("{}", usage());
-            std::process::exit(2);
-        }
+        .and_then(|name| SUBCOMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
+    if let Err(e) = parse(cmd, &argv[1..]).and_then(|args| (cmd.run)(&args)) {
+        eprintln!("{e}\n{}", cmd.synopsis());
+        std::process::exit(2);
     }
+}
+
+/// `r`'s value, or exit 1 with `what` and the error on stderr: a
+/// failure at run time, where a usage error exits 2.
+fn or_exit<T, E: Display>(r: Result<T, E>, what: impl Display) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// `selfmaint serve`: run the crash-tolerant maintenance-plane daemon.
 /// All operator chatter goes to stderr; job outputs live in the spool
 /// and are fetched over HTTP, so nothing here touches the
 /// deterministic-stdout contract.
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
-    cfg.port = parse_opt_or_exit(args, "--port", cfg.port);
-    if let Some(dir) = opt(args, "--spool") {
+    cfg.port = args.parse_or("--port", cfg.port)?;
+    if let Some(dir) = args.value("--spool") {
         cfg.spool = dir.to_string();
     }
-    let ckpt_hours: u64 = parse_opt_or_exit(args, "--checkpoint-hours", 24);
-    if ckpt_hours == 0 {
-        eprintln!("--checkpoint-hours must be at least 1");
-        std::process::exit(2);
+    if let Some(hours) = args.parse::<NonZeroU64>("--checkpoint-hours")? {
+        cfg.checkpoint_every = SimDuration::from_hours(hours.get());
     }
-    cfg.checkpoint_every = SimDuration::from_hours(ckpt_hours);
-    cfg.max_queue = parse_opt_or_exit(args, "--max-queue", cfg.max_queue);
-    cfg.max_attempts = parse_opt_or_exit(args, "--max-attempts", cfg.max_attempts);
-    if cfg.max_attempts == 0 {
-        eprintln!("--max-attempts must be at least 1");
-        std::process::exit(2);
+    cfg.max_queue = args.parse_or("--max-queue", cfg.max_queue)?;
+    if let Some(n) = args.parse::<NonZeroU32>("--max-attempts")? {
+        cfg.max_attempts = n.get();
     }
-    cfg.job_timeout_ms = parse_opt_maybe_or_exit(args, "--job-timeout-ms");
+    cfg.job_timeout_ms = args.parse("--job-timeout-ms")?;
 
     let spool = cfg.spool.clone();
-    let server = Server::start(cfg).unwrap_or_else(|e| {
-        eprintln!("cannot start serve daemon: {e}");
-        std::process::exit(1);
-    });
+    let server = or_exit(Server::start(cfg), "cannot start serve daemon");
     eprintln!(
         "selfmaint serve listening on 127.0.0.1:{} (spool {spool})",
         server.port()
     );
     // Tooling that started us with --port 0 discovers the bound port
     // here; tmp + rename so a reader never sees a half-written file.
-    if let Some(path) = opt(args, "--port-file") {
+    if let Some(path) = args.value("--port-file") {
         let tmp = format!("{path}.tmp");
         let write = std::fs::write(&tmp, format!("{}\n", server.port()))
             .and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = write {
-            eprintln!("cannot write port file {path}: {e}");
-            std::process::exit(1);
-        }
+        or_exit(write, format_args!("cannot write port file {path}"));
     }
     server.join();
     eprintln!("selfmaint serve: drained cleanly");
+    Ok(())
 }
 
-fn cmd_run(args: &[String]) {
-    let level = parse_opt_or_exit(args, "--level", AutomationLevel::L3);
-    let days: u64 = parse_opt_or_exit(args, "--days", 30);
-    let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let level = args.parse_or("--level", AutomationLevel::L3)?;
+    let days: u64 = args.parse_or("--days", 30)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
     let mut cfg = ScenarioConfig::at_level(seed, level);
     cfg.duration = SimDuration::from_days(days);
-    if let Some(t) = opt(args, "--topology") {
+    if let Some(t) = args.value("--topology") {
         cfg.topology = match t {
             "leaf-spine" => TopologySpec::LeafSpine {
                 spines: 4,
@@ -254,40 +452,34 @@ fn cmd_run(args: &[String]) {
                 lift: 3,
                 servers_per_switch: 4,
             },
-            other => {
-                eprintln!("unknown topology {other:?}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown topology {other:?}")),
         };
     }
-    cfg.robots_per_row = parse_opt_or_exit(args, "--robots-per-row", cfg.robots_per_row);
-    if let Some(v) = parse_opt_maybe_or_exit::<u8>(args, "--vendors") {
+    cfg.robots_per_row = args.parse_or("--robots-per-row", cfg.robots_per_row)?;
+    if let Some(v) = args.parse::<u8>("--vendors")? {
         cfg.diversity = DiversityProfile { vendor_count: v };
     }
-    if flag(args, "--no-proactive") || flag(args, "--no-predictive") {
+    if args.flag("--no-proactive") || args.flag("--no-predictive") {
         let mut ctl = ControllerConfig::at_level(level);
-        if flag(args, "--no-proactive") {
+        if args.flag("--no-proactive") {
             ctl.proactive = None;
         }
-        if flag(args, "--no-predictive") {
+        if args.flag("--no-predictive") {
             ctl.predictive = None;
         }
         cfg.controller = Some(ctl);
     }
-    if let Some(policy) = opt(args, "--policy") {
+    if let Some(policy) = args.value("--policy") {
         cfg.twin = match policy {
             "ladder" => TwinPolicy::Ladder,
             "twin" => TwinPolicy::TwinGuided(TwinConfig::default()),
-            other => {
-                eprintln!("unknown policy {other:?} (want ladder|twin)");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown policy {other:?} (want ladder|twin)")),
         };
     }
 
-    let ckpt_every: Option<u64> = parse_opt_maybe_or_exit(args, "--checkpoint-every");
-    let ckpt_dir = opt(args, "--checkpoint-dir").unwrap_or(".").to_string();
-    let resume = opt(args, "--resume").map(str::to_string);
+    let ckpt_every = args.parse::<NonZeroU64>("--checkpoint-every")?;
+    let ckpt_dir = args.value("--checkpoint-dir").unwrap_or(".");
+    let resume = args.value("--resume");
 
     eprintln!(
         "running {days} simulated days at {} (seed {seed})…",
@@ -296,14 +488,14 @@ fn cmd_run(args: &[String]) {
     let mut report = if ckpt_every.is_none() && resume.is_none() {
         selfmaint::scenarios::run(cfg)
     } else {
-        run_with_checkpoints(cfg, ckpt_every, &ckpt_dir, resume.as_deref())
+        run_with_checkpoints(cfg, ckpt_every, ckpt_dir, resume)
     };
-    if flag(args, "--json") {
+    if args.flag("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report.summary_json()).expect("serializable")
         );
-        return;
+        return Ok(());
     }
 
     let mut t = Table::new(
@@ -361,11 +553,12 @@ fn cmd_run(args: &[String]) {
             fnum(twin.mean_predicted_availability, 5),
         ]);
     }
-    if flag(args, "--csv") {
+    if args.flag("--csv") {
         print!("{}", t.to_csv());
     } else {
         print!("{}", t.render());
     }
+    Ok(())
 }
 
 /// `run` with the checkpoint/restore machinery engaged: restore from a
@@ -375,25 +568,21 @@ fn cmd_run(args: &[String]) {
 /// passes through — so the report and stdout stay byte-identical.
 fn run_with_checkpoints(
     cfg: ScenarioConfig,
-    every_days: Option<u64>,
+    every_days: Option<NonZeroU64>,
     dir: &str,
     resume: Option<&str>,
 ) -> RunReport {
     let end = SimTime::ZERO + cfg.duration;
     let mut eng = match resume {
         Some(path) => {
-            let bytes = std::fs::read(path).unwrap_or_else(|e| {
-                eprintln!("cannot read checkpoint {path}: {e}");
-                std::process::exit(1);
-            });
-            let snap = Snapshot::from_bytes(&bytes).unwrap_or_else(|e| {
-                eprintln!("corrupt checkpoint {path}: {e}");
-                std::process::exit(1);
-            });
-            let eng = Engine::restore(cfg, &snap).unwrap_or_else(|e| {
-                eprintln!("checkpoint {path} does not match this configuration: {e}");
-                std::process::exit(1);
-            });
+            let read = std::fs::read(path);
+            let bytes = or_exit(read, format_args!("cannot read checkpoint {path}"));
+            let decoded = Snapshot::from_bytes(&bytes);
+            let snap = or_exit(decoded, format_args!("corrupt checkpoint {path}"));
+            let eng = or_exit(
+                Engine::restore(cfg, &snap),
+                format_args!("checkpoint {path} does not match this configuration"),
+            );
             eprintln!(
                 "resumed from {path} at day {:.2} (state {})",
                 eng.now().as_micros() as f64 / 86_400e6,
@@ -404,20 +593,14 @@ fn run_with_checkpoints(
         None => Engine::new(cfg),
     };
     if let Some(days) = every_days {
-        if days == 0 {
-            eprintln!("--checkpoint-every must be at least 1");
-            std::process::exit(2);
-        }
-        let step = SimDuration::from_days(days);
+        let step = SimDuration::from_days(days.get());
         let mut t = eng.now();
         while t < end {
             t = (t + step).min(end);
             eng.run_until(t);
             let path = format!("{dir}/ckpt-day-{:04}.bin", t.as_micros() / 86_400_000_000);
-            std::fs::write(&path, eng.snapshot().to_bytes()).unwrap_or_else(|e| {
-                eprintln!("cannot write checkpoint {path}: {e}");
-                std::process::exit(1);
-            });
+            let write = std::fs::write(&path, eng.snapshot().to_bytes());
+            or_exit(write, format_args!("cannot write checkpoint {path}"));
             eprintln!("checkpoint written: {path} (state {})", eng.state_hash());
         }
     }
@@ -425,11 +608,11 @@ fn run_with_checkpoints(
     eng.finish_report()
 }
 
-fn cmd_advise(args: &[String]) {
-    let mtbf_days: u64 = parse_opt_or_exit(args, "--mtbf-days", 60);
-    let mttr_mins: u64 = parse_opt_or_exit(args, "--mttr-mins", 10);
-    let need: usize = parse_opt_or_exit(args, "--need", 8);
-    let target: f64 = parse_opt_or_exit(args, "--target", 0.9999);
+fn cmd_advise(args: &Args) -> Result<(), String> {
+    let mtbf_days: u64 = args.parse_or("--mtbf-days", 60)?;
+    let mttr_mins: u64 = args.parse_or("--mttr-mins", 10)?;
+    let need: usize = args.parse_or("--need", 8)?;
+    let target: f64 = args.parse_or("--target", 0.9999)?;
     let adv = advise(
         SimDuration::from_days(mtbf_days),
         SimDuration::from_mins(mttr_mins),
@@ -442,10 +625,11 @@ fn cmd_advise(args: &[String]) {
          (per-member availability {:.7})",
         adv.k, adv.n, adv.spares, adv.achieved, adv.member_availability
     );
+    Ok(())
 }
 
-fn cmd_topo(args: &[String]) {
-    let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
+fn cmd_topo(args: &Args) -> Result<(), String> {
+    let seed: u64 = args.parse_or("--seed", 42)?;
     let rng = SimRng::root(seed);
     let mut t = Table::new(
         "self-maintainability",
@@ -477,13 +661,14 @@ fn cmd_topo(args: &[String]) {
         ]);
     }
     print!("{}", t.render());
+    Ok(())
 }
 
-fn cmd_trace(args: &[String]) {
-    let level = parse_opt_or_exit(args, "--level", AutomationLevel::L3);
-    let days: u64 = parse_opt_or_exit(args, "--days", 14);
-    let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
-    let incident: Option<usize> = parse_opt_maybe_or_exit(args, "--incident");
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let level = args.parse_or("--level", AutomationLevel::L3)?;
+    let days: u64 = args.parse_or("--days", 14)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
+    let incident: Option<usize> = args.parse("--incident")?;
 
     let mut cfg = ScenarioConfig::at_level(seed, level);
     cfg.duration = SimDuration::from_days(days);
@@ -495,6 +680,13 @@ fn cmd_trace(args: &[String]) {
     );
     let report = selfmaint::scenarios::run(cfg);
     let obs = report.obs.as_ref().expect("obs plane was enabled");
+    let traces: Vec<_> = obs.closed_reactive_traces().collect();
+    if let Some(n) = incident.filter(|&n| n >= traces.len()) {
+        let have = traces.len();
+        return Err(format!(
+            "--incident {n}: this run closed {have} reactive incidents, numbered from 0"
+        ));
+    }
 
     let mut t = Table::new(
         &format!("closed reactive incidents — {} days, seed {seed}", days),
@@ -509,7 +701,7 @@ fn cmd_trace(args: &[String]) {
             ("tiles", Align::Left),
         ],
     );
-    for (i, tr) in obs.closed_reactive_traces().enumerate() {
+    for (i, tr) in traces.iter().enumerate() {
         t.row(vec![
             i.to_string(),
             tr.ticket.to_string(),
@@ -527,28 +719,15 @@ fn cmd_trace(args: &[String]) {
     print!("{}", report.span_breakdown_table());
 
     if let Some(n) = incident {
-        match obs.closed_reactive_traces().nth(n) {
-            Some(tr) => {
-                println!();
-                print!("{}", tr.render_tree());
-            }
-            None => {
-                eprintln!(
-                    "no closed reactive incident #{n} in this run \
-                     (see the index table for valid values)"
-                );
-                std::process::exit(2);
-            }
-        }
+        println!();
+        print!("{}", traces[n].render_tree());
     }
 
-    if let Some(path) = opt(args, "--journal") {
+    if let Some(path) = args.value("--journal") {
         let mut body = obs.journal.join("\n");
         body.push('\n');
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write journal to {path}: {e}");
-            std::process::exit(1);
-        });
+        let write = std::fs::write(path, body);
+        or_exit(write, format_args!("cannot write journal to {path}"));
         eprintln!(
             "journal: {} lines written to {path} ({} emitted, {} dropped)",
             obs.journal.len(),
@@ -556,35 +735,32 @@ fn cmd_trace(args: &[String]) {
             obs.journal_dropped
         );
     }
+    Ok(())
 }
 
-fn cmd_sweep(args: &[String]) {
-    let seeds: u64 = parse_opt_or_exit(args, "--seeds", 8);
-    let jobs: usize = parse_opt_or_exit(args, "--jobs", 1);
-    let days: u64 = parse_opt_or_exit(args, "--days", 14);
-    let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
-    let quick = flag(args, "--quick");
-    let journal_path = opt(args, "--journal").map(str::to_string);
-    let obs = flag(args, "--obs") || journal_path.is_some();
-    let inject_panic: Option<usize> = parse_opt_maybe_or_exit(args, "--inject-panic");
-    let manifest = opt(args, "--manifest").map(str::to_string);
-    let resume = flag(args, "--resume");
-    let levels = match opt(args, "--level") {
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let seeds = args
+        .parse::<NonZeroU64>("--seeds")?
+        .map_or(8, NonZeroU64::get);
+    let jobs: usize = args.parse_or("--jobs", 1)?;
+    let days: u64 = args.parse_or("--days", 14)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
+    let quick = args.flag("--quick");
+    let journal_path = args.value("--journal");
+    let obs = args.flag("--obs") || journal_path.is_some();
+    let inject_panic: Option<usize> = args.parse("--inject-panic")?;
+    let manifest = args.value("--manifest").map(str::to_string);
+    let resume = args.flag("--resume");
+    let levels = match args.value("--level") {
         None | Some("all") => AutomationLevel::ALL.to_vec(),
-        Some(_) => vec![parse_opt_or_exit(args, "--level", AutomationLevel::L3)],
+        Some(_) => Vec::from_iter(args.parse("--level")?),
     };
-    if seeds == 0 {
-        eprintln!("--seeds must be at least 1");
-        std::process::exit(2);
-    }
-    if resume && manifest.is_none() {
-        eprintln!("--resume requires --manifest DIR (the checkpoints to resume from)");
-        std::process::exit(2);
-    }
     if resume {
+        let Some(dir) = manifest.as_deref() else {
+            return Err("--resume requires --manifest DIR (the checkpoints to resume from)".into());
+        };
         // Fail loudly on a corrupt checkpoint *before* burning compute:
         // silently re-running the job would mask disk trouble.
-        let dir = manifest.as_deref().expect("checked above");
         match selfmaint::scenarios::sweep::verify_manifest(dir) {
             Ok(n) => eprintln!("manifest {dir}: {n} job checkpoint(s) verified"),
             Err(msg) => {
@@ -602,8 +778,8 @@ fn cmd_sweep(args: &[String]) {
         levels,
         small_fabric: quick,
         obs,
-        profiling: flag(args, "--profile"),
-        autonomic: flag(args, "--autonomic"),
+        profiling: args.flag("--profile"),
+        autonomic: args.flag("--autonomic"),
         inject_panic,
         manifest,
         resume,
@@ -617,7 +793,7 @@ fn cmd_sweep(args: &[String]) {
     );
     let out = run_engine_sweep(&p);
 
-    if flag(args, "--csv") {
+    if args.flag("--csv") {
         print!("{}", out.table.to_csv());
     } else {
         print!("{}", out.table.render());
@@ -637,19 +813,18 @@ fn cmd_sweep(args: &[String]) {
         println!();
         print!("{}", t.render());
     }
-    if let Some(path) = &journal_path {
+    if let Some(path) = journal_path {
         let mut body = out.journal.join("\n");
         body.push('\n');
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write journal to {path}: {e}");
-            std::process::exit(1);
-        });
+        let write = std::fs::write(path, body);
+        or_exit(write, format_args!("cannot write journal to {path}"));
         eprintln!("journal: {} lines written to {path}", out.journal.len());
     }
 
     if !out.failures.is_empty() {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// `selfmaint profile`: the engine self-profiler. Runs one E1 scenario
@@ -657,19 +832,20 @@ fn cmd_sweep(args: &[String]) {
 /// (each subsystem row followed by its leaves, indented) and the top-K
 /// event-kind counts. Unlike `run`/`sweep`, stdout here carries wall
 /// timings and is *not* byte-reproducible.
-fn cmd_profile(args: &[String]) {
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let defaults = ProfileParams::default();
     let p = ProfileParams {
-        level: parse_opt_or_exit(args, "--level", AutomationLevel::L3),
-        days: parse_opt_or_exit(args, "--days", 14),
-        base_seed: parse_opt_or_exit(args, "--seed", 42),
-        seeds: parse_opt_or_exit(args, "--seeds", 1),
-        quick: flag(args, "--quick"),
+        level: args.parse_or("--level", defaults.level)?,
+        days: args
+            .parse::<NonZeroU64>("--days")?
+            .map_or(defaults.days, NonZeroU64::get),
+        base_seed: args.parse_or("--seed", defaults.base_seed)?,
+        seeds: args
+            .parse::<NonZeroU64>("--seeds")?
+            .map_or(defaults.seeds, NonZeroU64::get),
+        quick: args.flag("--quick"),
     };
-    if p.seeds == 0 || p.days == 0 {
-        eprintln!("--seeds and --days must be at least 1");
-        std::process::exit(2);
-    }
-    let top: usize = parse_opt_or_exit(args, "--top", 8);
+    let top: usize = args.parse_or("--top", 8)?;
 
     eprintln!("profiling {}…", p.scenario_label());
     let out = run_profile(&p);
@@ -711,6 +887,7 @@ fn cmd_profile(args: &[String]) {
         report.deterministic["queue-high-water"],
         peak_rss_bytes() as f64 / (1024.0 * 1024.0),
     );
+    Ok(())
 }
 
 /// `selfmaint bench`: run the suite's five cases [`REPS`] times each,
@@ -718,25 +895,20 @@ fn cmd_profile(args: &[String]) {
 /// suite to `--out` (default `BENCH.json`). With `--baseline`, exit 1
 /// naming every problem the gate finds. Like `profile`, stdout carries
 /// wall timings and is not byte-reproducible.
-fn cmd_bench(args: &[String]) {
-    let out_path = opt(args, "--out").unwrap_or("BENCH.json");
+fn cmd_bench(args: &Args) -> Result<(), String> {
+    let out_path = args.value("--out").unwrap_or("BENCH.json");
     // Read the baseline first, so a bad path fails before the suite runs.
-    let baseline = opt(args, "--baseline").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        Suite::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {path} is not a BENCH.json suite: {e}");
-            std::process::exit(1);
-        })
+    let baseline = args.value("--baseline").map(|path| {
+        let read = std::fs::read_to_string(path);
+        let text = or_exit(read, format_args!("cannot read baseline {path}"));
+        or_exit(
+            Suite::from_json(&text),
+            format_args!("baseline {path} is not a BENCH.json suite"),
+        )
     });
 
     eprintln!("bench: {REPS} reps per case…");
-    let suite = run_suite(|name| eprintln!("  {name}")).unwrap_or_else(|e| {
-        eprintln!("bench failed: {e}");
-        std::process::exit(1);
-    });
+    let suite = or_exit(run_suite(|name| eprintln!("  {name}")), "bench failed");
     let mut t = Table::new(
         &format!("bench — end-to-end medians of {REPS} reps"),
         &[
@@ -768,10 +940,8 @@ fn cmd_bench(args: &[String]) {
         "peak RSS: {:.1} MiB",
         suite.peak_rss_bytes as f64 / (1024.0 * 1024.0)
     );
-    std::fs::write(out_path, suite.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
+    let write = std::fs::write(out_path, suite.to_json());
+    or_exit(write, format_args!("cannot write {out_path}"));
     eprintln!("bench suite written to {out_path}");
 
     if let Some(base) = &baseline {
@@ -784,6 +954,7 @@ fn cmd_bench(args: &[String]) {
         }
         eprintln!("baseline gate: pass");
     }
+    Ok(())
 }
 
 /// `v` to four significant digits.
@@ -796,30 +967,22 @@ fn sig(v: f64) -> String {
     format!("{v:.*}", (3 - magnitude).clamp(0, 9) as usize)
 }
 
-fn cmd_bisect(args: &[String]) {
-    let level = parse_opt_or_exit(args, "--level", AutomationLevel::L3);
-    let days: u64 = parse_opt_or_exit(args, "--days", 12);
-    let seed: u64 = parse_opt_or_exit(args, "--seed", 42);
-    let seed_b: Option<u64> = parse_opt_maybe_or_exit(args, "--seed-b");
-    let interval_days: u64 = parse_opt_or_exit(args, "--interval-days", 2);
-    let quick = flag(args, "--quick");
-    let out_path = opt(args, "--out").map(str::to_string);
-    if interval_days == 0 {
-        eprintln!("--interval-days must be at least 1");
-        std::process::exit(2);
-    }
+fn cmd_bisect(args: &Args) -> Result<(), String> {
+    let level = args.parse_or("--level", AutomationLevel::L3)?;
+    let days: u64 = args.parse_or("--days", 12)?;
+    let seed: u64 = args.parse_or("--seed", 42)?;
+    let seed_b: Option<u64> = args.parse("--seed-b")?;
+    let interval_days = args
+        .parse::<NonZeroU64>("--interval-days")?
+        .map_or(2, NonZeroU64::get);
+    let quick = args.flag("--quick");
+    let out_path = args.value("--out");
 
     let build = |seed: u64| {
         let mut cfg = ScenarioConfig::at_level(seed, level);
         cfg.duration = SimDuration::from_days(days);
         if quick {
-            cfg.topology = TopologySpec::LeafSpine {
-                spines: 2,
-                leaves: 4,
-                servers_per_leaf: 2,
-            };
-            cfg.poll_period = SimDuration::from_secs(120);
-            cfg.faults.mtbi_per_link = SimDuration::from_days(15);
+            cfg.apply_quick_fabric();
         }
         cfg
     };
@@ -842,26 +1005,23 @@ fn cmd_bisect(args: &[String]) {
         }
     }
 
-    let report = bisect(cfg_a, cfg_b, SimDuration::from_days(interval_days)).unwrap_or_else(|e| {
-        eprintln!("bisect failed: {e}");
-        std::process::exit(1);
-    });
+    let interval = SimDuration::from_days(interval_days);
+    let report = or_exit(bisect(cfg_a, cfg_b, interval), "bisect failed");
     let mut body = report.lines().join("\n");
     body.push('\n');
     print!("{body}");
-    if let Some(path) = &out_path {
-        std::fs::write(path, &body).unwrap_or_else(|e| {
-            eprintln!("cannot write report to {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = out_path {
+        let write = std::fs::write(path, &body);
+        or_exit(write, format_args!("cannot write report to {path}"));
         eprintln!("divergence report written to {path}");
     }
     if report.diverged() {
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn cmd_levels(_args: &[String]) {
+fn cmd_levels(_args: &Args) -> Result<(), String> {
     for l in AutomationLevel::ALL {
         println!(
             "{}  {:<20}  proactive: {:<3}  supervisor: {:<3}  humans in halls: {}",
@@ -876,52 +1036,179 @@ fn cmd_levels(_args: &[String]) {
             },
         );
     }
+    Ok(())
+}
+
+/// The `experiments` command line, checked: every picked id is known,
+/// and its output format (`--jsonl` wins over `--csv`), `--seeds`,
+/// `--jobs` and `--seed`, defaults filled in.
+fn experiments_settings(args: &Args) -> Result<(ReportFormat, u64, usize, u64), String> {
+    if let Some(id) = args.bare.iter().find(|id| !is_experiment(id)) {
+        let known = EXPERIMENTS.join(" ");
+        return Err(format!("unknown experiment {id:?} (known: {known})"));
+    }
+    let format = match (args.flag("--jsonl"), args.flag("--csv")) {
+        (true, _) => ReportFormat::Jsonl,
+        (false, true) => ReportFormat::Csv,
+        (false, false) => ReportFormat::Text,
+    };
+    let seeds = args.parse_or("--seeds", NonZeroU64::MIN)?.get();
+    let jobs = args.parse_or("--jobs", NonZeroUsize::MIN)?.get();
+    Ok((format, seeds, jobs, args.parse_or("--seed", 2024)?))
+}
+
+/// `selfmaint experiments`: run the picked experiments (all of them when
+/// none is picked) on the sweep pool and print their tables.
+fn cmd_experiments(args: &Args) -> Result<(), String> {
+    let (format, seeds, jobs, seed) = experiments_settings(args)?;
+    let picks: Vec<&str> = args.bare.iter().map(String::as_str).collect();
+    let out = run_experiment_sweep(&picks, seed, seeds, jobs, args.flag("--quick"));
+    let mut stdout = std::io::stdout();
+    for t in &out.tables {
+        format.emit(&mut stdout, t).expect("write tables to stdout");
+    }
+    if !out.failures.is_empty() {
+        let failures = failures_table(&out.failures);
+        format
+            .emit(&mut stdout, &failures)
+            .expect("write tables to stdout");
+        std::process::exit(1);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    fn parse_strs(name: &str, list: &[&str]) -> Result<Args, String> {
+        let cmd = SUBCOMMANDS.iter().find(|c| c.name == name).unwrap();
+        parse(cmd, &list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
 
     /// The SUBCOMMANDS table is the single source of truth: the
-    /// dispatcher matches against it and the usage text is generated
-    /// from it. This pins the documented surface, forbids duplicates,
-    /// and checks the generated usage really lists every entry — add a
+    /// dispatcher matches against it, and the command list and each
+    /// synopsis are generated from it. This pins the documented surface
+    /// and checks the command list really lists every entry — add a
     /// command to the table and this test names the places to update.
     #[test]
     fn subcommand_table_drives_everything() {
-        let names: Vec<&str> = SUBCOMMANDS.iter().map(|(n, _, _)| *n).collect();
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.name).collect();
         assert_eq!(
-            names,
-            [
-                "run", "advise", "topo", "levels", "trace", "sweep", "profile", "bench", "bisect",
-                "serve"
-            ],
+            names.join(" "),
+            "run advise topo levels trace sweep profile bench bisect serve experiments",
             "subcommand surface changed — update this test and the crate docs"
         );
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate subcommand name");
-
         let u = usage();
-        for (name, desc, _) in SUBCOMMANDS {
-            assert!(!desc.is_empty(), "{name} has no description");
-            assert!(u.contains(name), "usage text does not list {name}");
-            assert!(u.contains(desc), "usage text lost {name}'s description");
+        for c in SUBCOMMANDS {
+            assert!(!c.about.is_empty(), "{} has no description", c.name);
+            assert!(
+                u.contains(&format!("  {:<13}{}\n", c.name, c.about)),
+                "{}",
+                c.name
+            );
+            let heads: BTreeSet<&str> = c.args.iter().filter_map(|a| a.split(' ').next()).collect();
+            assert_eq!(
+                heads.len(),
+                c.args.len(),
+                "{} declares an argument twice",
+                c.name
+            );
         }
     }
 
-    /// Every subcommand the doc comment documents is dispatchable, so
-    /// the long-form help at the top of this file cannot advertise a
-    /// command the binary rejects.
+    /// Every command has a section in the doc comment that mentions each
+    /// flag it declares, so the long-form help at the top of this file
+    /// and the parser cannot drift apart.
     #[test]
     fn doc_comment_matches_the_table() {
-        let doc = include_str!("selfmaint.rs");
-        for (name, _, _) in SUBCOMMANDS {
-            assert!(
-                doc.contains(&format!("selfmaint {name}")),
-                "doc comment does not document `selfmaint {name}`"
-            );
+        let file = include_str!("selfmaint.rs");
+        let doc = &file[..file.find("\n//! ```\n").unwrap()];
+        for c in SUBCOMMANDS {
+            let head = format!("//! selfmaint {} ", c.name);
+            let Some(at) = doc.find(&head) else {
+                panic!("doc comment does not document `selfmaint {}`", c.name);
+            };
+            let section = doc[at + head.len()..]
+                .split("//! selfmaint ")
+                .next()
+                .unwrap();
+            let words: BTreeSet<&str> = section
+                .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-'))
+                .collect();
+            for flag in c.args.iter().filter_map(|a| a.split(' ').next()) {
+                let documented = !flag.starts_with("--") || words.contains(flag);
+                assert!(
+                    documented,
+                    "doc comment: `selfmaint {}` lacks {flag}",
+                    c.name
+                );
+            }
         }
+    }
+
+    #[test]
+    fn misspelt_and_help_flags_are_rejected() {
+        for flag in ["--quik", "--help", "-h"] {
+            let err = parse_strs("experiments", &["e4", flag]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_names_the_flag() {
+        let err = parse_strs("experiments", &["e4", "--seeds"]).unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+        let a = parse_strs("experiments", &["--jobs", "two"]).unwrap();
+        assert!(experiments_settings(&a).unwrap_err().contains("--jobs"));
+    }
+
+    #[test]
+    fn unknown_experiment_lists_the_registry() {
+        let a = parse_strs("experiments", &["e17"]).unwrap();
+        let err = experiments_settings(&a).unwrap_err();
+        assert!(err.contains("\"e17\""), "{err}");
+        for known in ["e15", "e16", "a3"] {
+            assert!(err.contains(known), "{err}");
+        }
+    }
+
+    #[test]
+    fn values_are_not_mistaken_for_picks() {
+        let a = parse_strs("experiments", &["e4", "--seeds", "2", "e8", "--csv"]).unwrap();
+        assert_eq!(a.bare, ["e4", "e8"]);
+        let (format, seeds, jobs, seed) = experiments_settings(&a).unwrap();
+        assert_eq!((seeds, jobs, seed), (2, 1, 2024));
+        assert_eq!(format, ReportFormat::Csv);
+        let b = ["--quick", "--jsonl", "--csv", "--seed", "7", "--jobs", "3"];
+        let b = parse_strs("experiments", &b).unwrap();
+        assert!(b.flag("--quick") && b.bare.is_empty());
+        let (format, _, jobs, seed) = experiments_settings(&b).unwrap();
+        assert_eq!((seed, jobs, format), (7, 3, ReportFormat::Jsonl));
+        for zero in [["--seeds", "0"], ["--jobs", "0"]] {
+            let a = parse_strs("experiments", &zero).unwrap();
+            assert!(experiments_settings(&a).is_err(), "{zero:?}");
+        }
+    }
+
+    #[test]
+    fn absent_flag_yields_default() {
+        let a = parse_strs("run", &[]).unwrap();
+        assert_eq!(a.parse_or("--days", 30), Ok(30));
+    }
+
+    #[test]
+    fn present_invalid_value_is_a_hard_error_not_the_default() {
+        let a = parse_strs("run", &["--days", "thirty"]).unwrap();
+        let err = a.parse_or("--days", 30).unwrap_err();
+        assert!(err.contains("\"thirty\""), "error names the value: {err}");
+        assert!(err.contains("--days"), "error names the flag: {err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not declare --dayz")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        parse_strs("run", &[]).unwrap().flag("--dayz");
     }
 }

@@ -1,22 +1,40 @@
-//! CLI robustness tests: a damaged checkpoint must always surface as a
-//! clear diagnostic and a nonzero exit — never a panic, never a silent
-//! re-run that hides disk trouble from the operator.
+//! CLI tests: a damaged checkpoint or an argument a command does not
+//! declare must always surface as a clear diagnostic and a nonzero exit
+//! — never a panic, never a silent run that hides the mistake from the
+//! operator — and pinned outputs must equal their committed goldens.
 //!
 //! These spawn the real `selfmaint` binary (via `CARGO_BIN_EXE_*`), so
-//! they exercise the exact error paths an operator hits.
+//! they exercise the exact paths an operator hits.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use selfmaint::ckpt::fnv1a64;
+
 fn selfmaint(args: &[&str]) -> Output {
+    selfmaint_in(Path::new("."), args)
+}
+
+fn selfmaint_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_selfmaint"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("spawn selfmaint")
 }
 
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A successful run whose stdout equals its committed golden.
+fn assert_golden(out: &Output, golden: &str) {
+    assert!(out.status.success(), "{}", stderr(out));
+    assert_eq!(stdout(out), golden, "stdout left its golden");
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -143,4 +161,96 @@ fn sweep_resume_without_manifest_is_a_usage_error() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--resume requires --manifest"));
+}
+
+/// The trace stdout, its journal's length and FNV-1a digest (the 152 KB
+/// journal is not committed) and the quick sweep stdout, pinned byte for
+/// byte. A changed golden is re-blessed only with a reason in CHANGES.md.
+#[test]
+fn trace_and_sweep_match_their_goldens() {
+    let dir = scratch("goldens");
+    let journal = dir.join("trace.jsonl");
+    let trace = ["trace", "--level", "L3", "--days", "14", "--seed", "42"];
+    let out = selfmaint(&[&trace[..], &["--journal", journal.to_str().unwrap()]].concat());
+    assert_golden(&out, include_str!("fixtures/trace-l3-14d-seed42.txt"));
+    let bytes = std::fs::read(&journal).unwrap();
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (151_835, 0x5f16_175b_fa52_1ff2),
+        "trace journal (length, FNV-1a digest)"
+    );
+
+    let sweep = [
+        "sweep", "--quick", "--days", "14", "--seeds", "4", "--jobs", "2",
+    ];
+    let out = selfmaint(&sweep);
+    assert_golden(&out, include_str!("fixtures/sweep-quick-14d-4seeds.txt"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each argument a command does not accept is refused with exit 2 and
+/// named on stderr: nothing on stdout, no file written. Only the
+/// out-of-range `--incident` needs the run; the rest are refused before
+/// anything runs.
+#[test]
+fn undeclared_repeated_and_valueless_arguments_exit_2_before_running() {
+    let dir = scratch("strict");
+    let cases: [(&[&str], &str); 11] = [
+        (&["run", "--dayz", "1"], "--dayz"),
+        (&["run", "--help"], "--help"),
+        (&["run", "30"], "\"30\""),
+        (&["run", "--seed", "5", "--seed", "9"], "--seed"),
+        (&["levels", "--bogus-flag"], "--bogus-flag"),
+        (&["sweep", "--seedz", "2"], "--seedz"),
+        (&["advise", "--target"], "--target"),
+        (&["trace", "--journal", "--days", "1"], "--journal"),
+        (&["experiments", "e17"], "\"e17\""),
+        (&["experiments", "--quik"], "--quik"),
+        (&["trace", "--days", "1", "--incident", "999"], "999"),
+    ];
+    for (argv, named) in cases {
+        let out = selfmaint_in(&dir, argv);
+        let err = stderr(&out);
+        // The reason, then the command's synopsis, end stderr.
+        let mut last = err.lines().rev();
+        let (synopsis, reason) = (last.next().unwrap_or(""), last.next().unwrap_or(""));
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        let usage = format!("usage: selfmaint {}", argv[0]);
+        assert!(
+            synopsis.starts_with(&usage) && reason.contains(named),
+            "{argv:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} printed {}", stdout(&out));
+    }
+    assert!(
+        !dir.join("--days").exists(),
+        "trace wrote its journal to a file named --days"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One run of each command that no other test or CI step runs, so that
+/// every handler has read its arguments against its declared list at
+/// least once (reading an undeclared one panics). `experiments e5` also
+/// checks the front door's bytes against the committed tables.
+#[test]
+fn every_handler_reads_only_declared_arguments() {
+    let fixture = include_str!("fixtures/experiments-quick.txt");
+    for argv in [
+        &["profile", "--quick", "--days", "1"][..],
+        &["topo"],
+        &["levels"],
+        &["advise"],
+        &["experiments", "e5"],
+    ] {
+        let out = selfmaint(argv);
+        assert!(out.status.success(), "{argv:?}: {}", stderr(&out));
+        let printed = stdout(&out);
+        assert!(!printed.is_empty(), "{argv:?} printed nothing");
+        let e5 = argv[0] == "experiments";
+        assert!(
+            !e5 || fixture.contains(&printed),
+            "E5 left its golden:\n{printed}"
+        );
+    }
 }

@@ -355,16 +355,6 @@ impl Mape {
         }
     }
 
-    /// Knowledge rows for reports: `(cause, action, mean, ci95 width,
-    /// observations)` sorted by key.
-    pub fn posterior_rows(&self) -> Vec<(&'static str, &'static str, f64, f64, f64)> {
-        let prior_w = self.cfg.prior_alpha + self.cfg.prior_beta;
-        self.posteriors
-            .iter()
-            .map(|(&(c, a), b)| (c, a, b.mean(), b.ci95_width(), b.weight() - prior_w))
-            .collect()
-    }
-
     /// `(converged, total)` posterior counts at the standard
     /// [`CONVERGED_WIDTH`].
     pub fn convergence(&self) -> (u64, u64) {
@@ -697,8 +687,6 @@ mod tests {
             m.observe_repair("dust", "clean", i % 10 != 0); // 90% fix
             m.observe_repair("seating", "clean", false); // useless
         }
-        let rows = m.posterior_rows();
-        assert_eq!(rows.len(), 2);
         let (c, t) = m.convergence();
         assert_eq!(t, 2);
         assert!(c >= 1, "30 observations should converge a posterior");
@@ -788,7 +776,12 @@ mod tests {
             let db = back.tick(&r, ctx(t, t % 2), &mut rng_b);
             assert_eq!(da, db, "divergence at continuation tick {t}");
         }
-        assert_eq!(m.posterior_rows(), back.posterior_rows());
+        let encoded = |m: &Mape| {
+            let mut enc = dcmaint_ckpt::Enc::new();
+            m.save(&mut enc);
+            enc.into_bytes()
+        };
+        assert_eq!(encoded(&m), encoded(&back), "knowledge diverged");
         assert_eq!((m.decisions, m.applied, m.rollbacks), {
             (back.decisions, back.applied, back.rollbacks)
         });

@@ -96,12 +96,6 @@ impl ZoneLedger {
         self.claims.retain(|c| c.until > now);
     }
 
-    /// Active claims (after pruning at `now`).
-    pub fn active(&mut self, now: SimTime) -> usize {
-        self.prune(now);
-        self.claims.len()
-    }
-
     fn zone_of(&self, rack: RackLoc) -> (u32, u32, u32) {
         let lo = rack.col.saturating_sub(self.cfg.zone_halfwidth);
         let hi = rack.col + self.cfg.zone_halfwidth;
@@ -212,12 +206,6 @@ impl ZoneLedger {
             c.until = c.until.min(now.max(c.from));
         }
         self.claims.retain(|c| c.until > c.from);
-    }
-
-    /// True if the claim is still present with time remaining after
-    /// `now` — the leak the abort invariant tests for.
-    pub fn is_held_beyond(&self, id: ClaimId, now: SimTime) -> bool {
-        self.claims.iter().any(|c| c.id == id && c.until > now)
     }
 
     /// Handles of every claim still holding zone time after `now`. The
@@ -403,8 +391,8 @@ mod tests {
             at(0),
             SimDuration::from_mins(10),
         );
-        assert_eq!(z.active(at(5)), 1);
-        assert_eq!(z.active(at(20)), 0);
+        assert_eq!(z.open_claim_ids(at(5)).len(), 1);
+        assert!(z.open_claim_ids(at(20)).is_empty());
         let s = z.earliest_clear(
             ZoneActor::Robot,
             rack(0, 3),
@@ -470,7 +458,7 @@ mod tests {
         assert_eq!(s, at(0));
         // Mid-claim abort at t=10: the human no longer waits two hours.
         z.release(id, at(10));
-        assert!(!z.is_held_beyond(id, at(10)));
+        assert!(!z.open_claim_ids(at(10)).contains(&id));
         let h = z.earliest_clear(
             ZoneActor::Human,
             rack(0, 3),
@@ -493,7 +481,7 @@ mod tests {
         );
         assert_eq!(s, at(60));
         z.release(id, at(5));
-        assert_eq!(z.active(at(5)), 0);
+        assert!(z.open_claim_ids(at(5)).is_empty());
         // Double release and unknown ids are no-ops.
         z.release(id, at(6));
         z.release(ClaimId(999), at(6));

@@ -38,13 +38,6 @@ pub struct WindowRisk {
     pub exposure_link_seconds: f64,
 }
 
-impl WindowRisk {
-    /// A window with no exposed links and full path diversity.
-    pub fn is_clean(&self) -> bool {
-        self.disconnected_pairs == 0 && self.exposed_links.is_empty()
-    }
-}
-
 /// Assess the vulnerability window created by draining `drained` for
 /// `window` while the fabric is in `state`.
 ///
@@ -165,7 +158,6 @@ mod tests {
             "partner uplink must be exposed"
         );
         assert!(r.worst_path_ratio <= 0.5 + 1e-9, "path diversity halved");
-        assert!(!r.is_clean());
         assert!(
             (r.exposure_link_seconds - r.exposed_links.len() as f64 * window.as_secs_f64()).abs()
                 < 1e-9
@@ -198,7 +190,6 @@ mod tests {
         let ups = uplinks_of_leaf(&t, "leaf-0");
         let r = assess_window(&t, &s, &ups, SimDuration::from_mins(5), &pairs);
         assert!(r.disconnected_pairs > 0);
-        assert!(!r.is_clean());
     }
 
     #[test]

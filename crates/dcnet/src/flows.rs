@@ -50,19 +50,6 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Total throughput across demands, Gbps.
-    pub fn total_throughput(&self) -> f64 {
-        self.rates.iter().sum()
-    }
-
-    /// Fraction of offered demands that got a path.
-    pub fn routed_fraction(&self) -> f64 {
-        if self.rates.is_empty() {
-            return 1.0;
-        }
-        1.0 - self.unrouted as f64 / self.rates.len() as f64
-    }
-
     /// Latency multiplier (vs loss-free) experienced by each demand, from
     /// its path loss. Sorted copies of this give p50/p99.
     pub fn latency_multipliers(&self) -> Vec<f64> {
@@ -324,7 +311,6 @@ mod tests {
         let r = allocate(&t, &s, &d);
         assert_eq!(r.unrouted, 1);
         assert_eq!(r.rates[0], 0.0);
-        assert_eq!(r.routed_fraction(), 0.0);
     }
 
     #[test]
@@ -352,7 +338,7 @@ mod tests {
         for &u in &r.utilization {
             assert!((0.0..=1.0).contains(&u));
         }
-        assert!(r.total_throughput() > 0.0);
+        assert!(r.rates.iter().sum::<f64>() > 0.0);
     }
 
     #[test]

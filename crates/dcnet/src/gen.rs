@@ -461,11 +461,14 @@ mod tests {
         let rng = SimRng::root(11);
         let ls = leaf_spine(4, 16, 0, 1, DiversityProfile::standardized(), &rng);
         let jf = jellyfish(20, 6, 0, DiversityProfile::standardized(), &rng);
+        let mean_m = |t: &Topology| {
+            t.links().iter().map(|l| l.cable.length_m).sum::<f64>() / t.link_count() as f64
+        };
         assert!(
-            jf.mean_cable_length_m() > ls.mean_cable_length_m() * 0.8,
+            mean_m(&jf) > mean_m(&ls) * 0.8,
             "jellyfish {:.1} m vs leaf-spine {:.1} m",
-            jf.mean_cable_length_m(),
-            ls.mean_cable_length_m()
+            mean_m(&jf),
+            mean_m(&ls)
         );
     }
 }

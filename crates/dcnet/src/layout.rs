@@ -50,24 +50,6 @@ pub struct PortLoc {
     pub slot: u16,
 }
 
-impl PortLoc {
-    /// Height of the port above the floor in meters (1U = 44.45 mm).
-    pub fn height_m(&self) -> f64 {
-        f64::from(self.u) * 0.04445
-    }
-
-    /// Whether two ports are *panel neighbors*: same rack, same face, same
-    /// U, within `radius` slots. Pulling a cable disturbs its panel
-    /// neighbors.
-    pub fn is_panel_neighbor(&self, other: &PortLoc, radius: u16) -> bool {
-        self.rack == other.rack
-            && self.face == other.face
-            && self.u == other.u
-            && self.slot.abs_diff(other.slot) <= radius
-            && self.slot != other.slot
-    }
-}
-
 /// Hall geometry parameters and tray arithmetic.
 #[derive(Debug, Clone)]
 pub struct HallLayout {
@@ -310,36 +292,5 @@ mod tests {
         let d = h.walk_distance_m(RackLoc { row: 0, col: 5 }, RackLoc { row: 2, col: 5 });
         // 5*0.6 out + 2*2.4 cross + 5*0.6 back
         assert!((d - (3.0 + 4.8 + 3.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn panel_neighbors() {
-        let a = PortLoc {
-            rack: RackId(1),
-            u: 40,
-            face: Face::Rear,
-            slot: 10,
-        };
-        let near = PortLoc { slot: 12, ..a };
-        let far = PortLoc { slot: 14, ..a };
-        let other_u = PortLoc { u: 39, ..a };
-        assert!(a.is_panel_neighbor(&near, 2));
-        assert!(!a.is_panel_neighbor(&far, 2));
-        assert!(!a.is_panel_neighbor(&other_u, 2));
-        assert!(
-            !a.is_panel_neighbor(&a, 2),
-            "a port is not its own neighbor"
-        );
-    }
-
-    #[test]
-    fn port_height() {
-        let p = PortLoc {
-            rack: RackId(0),
-            u: 42,
-            face: Face::Front,
-            slot: 0,
-        };
-        assert!((p.height_m() - 1.8669).abs() < 1e-3);
     }
 }

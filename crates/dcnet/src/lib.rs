@@ -14,7 +14,7 @@
 //!   (leaf-spine, fat-tree, Jellyfish, Xpander) with tray routing and
 //!   disturbance-neighbor precomputation;
 //! * [`state`] — live link health (up / degraded / flapping / down) and
-//!   administrative state (in-service / draining / drained / maintenance);
+//!   administrative state (in-service / drained / maintenance);
 //! * [`routing`] — BFS + deterministic ECMP, path diversity, pair
 //!   connectivity;
 //! * [`flows`] — fluid max-min fair rates and the loss → tail-latency

@@ -49,9 +49,6 @@ impl LinkHealth {
 pub enum AdminState {
     /// Normal forwarding.
     InService,
-    /// Being emptied of traffic ahead of maintenance (pre-contact
-    /// announcement received; routing steers new flows away).
-    Draining,
     /// Empty and safe to touch.
     Drained,
     /// Physically under maintenance (robot or human hands on it).
@@ -65,9 +62,10 @@ dcmaint_ckpt::persist_enum!(LinkHealth: "link-health" {
     3 => Down,
 });
 
+// Tag 1 is unassigned: checkpoint format v4 numbers the states this way,
+// and renumbering would change its bytes.
 dcmaint_ckpt::persist_enum!(AdminState: "admin-state" {
     0 => InService,
-    1 => Draining,
     2 => Drained,
     3 => Maintenance,
 });
@@ -95,20 +93,10 @@ impl Default for LinkState {
 
 impl LinkState {
     /// Whether routing may place traffic on this link: physically able to
-    /// carry it and administratively in service or still draining (drained
-    /// and in-maintenance links are excluded even if healthy).
+    /// carry it and administratively in service (drained and
+    /// in-maintenance links are excluded even if healthy).
     pub fn routable(&self) -> bool {
-        self.health.carries_traffic()
-            && matches!(self.admin, AdminState::InService | AdminState::Draining)
-    }
-
-    /// Whether the link counts as *available* for availability accounting:
-    /// up or merely degraded. Flapping links count as unavailable half the
-    /// time via their duty cycle, handled by the fault model marking
-    /// health transitions; here flapping counts available (it carries
-    /// *some* traffic) — tail latency is where flaps hurt.
-    pub fn is_available(&self) -> bool {
-        self.health.carries_traffic()
+        self.health.carries_traffic() && self.admin == AdminState::InService
     }
 }
 
@@ -139,11 +127,6 @@ impl NetState {
         &self.links[l.index()]
     }
 
-    /// Mutable state of one link.
-    pub fn link_mut(&mut self, l: LinkId) -> &mut LinkState {
-        &mut self.links[l.index()]
-    }
-
     /// Number of links tracked.
     pub fn len(&self) -> usize {
         self.links.len()
@@ -164,30 +147,6 @@ impl NetState {
     /// Set admin state.
     pub fn set_admin(&mut self, l: LinkId, admin: AdminState) {
         self.links[l.index()].admin = admin;
-    }
-
-    /// Count links in each health state: `(up, degraded, flapping, down)`.
-    pub fn health_census(&self) -> (usize, usize, usize, usize) {
-        let mut c = (0, 0, 0, 0);
-        for s in &self.links {
-            match s.health {
-                LinkHealth::Up => c.0 += 1,
-                LinkHealth::Degraded => c.1 += 1,
-                LinkHealth::Flapping => c.2 += 1,
-                LinkHealth::Down => c.3 += 1,
-            }
-        }
-        c
-    }
-
-    /// Ids of links currently not routable.
-    pub fn unroutable(&self) -> Vec<LinkId> {
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.routable())
-            .map(|(i, _)| LinkId::from_index(i))
-            .collect()
     }
 }
 
@@ -213,10 +172,12 @@ mod tests {
     fn starts_all_up() {
         let t = topo();
         let s = NetState::new(&t);
-        let (up, deg, flap, down) = s.health_census();
-        assert_eq!(up, t.link_count());
-        assert_eq!(deg + flap + down, 0);
-        assert!(s.unroutable().is_empty());
+        assert_eq!(s.len(), t.link_count());
+        for i in 0..t.link_count() {
+            let l = s.link(LinkId::from_index(i));
+            assert_eq!(l.health, LinkHealth::Up);
+            assert!(l.routable());
+        }
     }
 
     #[test]
@@ -225,7 +186,6 @@ mod tests {
         let mut s = NetState::new(&t);
         s.set_health(LinkId(0), LinkHealth::Down, 1.0);
         assert!(!s.link(LinkId(0)).routable());
-        assert_eq!(s.unroutable(), vec![LinkId(0)]);
     }
 
     #[test]
@@ -234,7 +194,6 @@ mod tests {
         let mut s = NetState::new(&t);
         s.set_health(LinkId(1), LinkHealth::Flapping, 0.02);
         assert!(s.link(LinkId(1)).routable());
-        assert!(s.link(LinkId(1)).is_available());
         assert!((s.link(LinkId(1)).loss_rate - 0.02).abs() < 1e-12);
     }
 
@@ -244,16 +203,26 @@ mod tests {
         let mut s = NetState::new(&t);
         s.set_admin(LinkId(2), AdminState::Drained);
         assert!(!s.link(LinkId(2)).routable());
-        // …but it is still *available* hardware-wise.
-        assert!(s.link(LinkId(2)).is_available());
+        assert!(s.link(LinkId(2)).health.carries_traffic());
     }
 
     #[test]
-    fn draining_still_routable() {
-        let t = topo();
-        let mut s = NetState::new(&t);
-        s.set_admin(LinkId(2), AdminState::Draining);
-        assert!(s.link(LinkId(2)).routable());
+    fn admin_state_keeps_its_tags_and_refuses_tag_1() {
+        use dcmaint_ckpt::{CkptError, Dec, Decode, Enc, Persist};
+        for (tag, admin) in [
+            (0, AdminState::InService),
+            (2, AdminState::Drained),
+            (3, AdminState::Maintenance),
+        ] {
+            let mut enc = Enc::new();
+            admin.save(&mut enc);
+            assert_eq!(enc.into_bytes(), [tag]);
+            assert_eq!(AdminState::decode(&mut Dec::new(&[tag])), Ok(admin));
+        }
+        assert_eq!(
+            AdminState::decode(&mut Dec::new(&[1])),
+            Err(CkptError::BadTag("admin-state", 1))
+        );
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub struct Topology {
     ports: Vec<Port>,
     links: Vec<Link>,
     node_ports: Vec<Vec<PortId>>,
-    port_link: Vec<Option<LinkId>>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
     tray_occupancy: Vec<Vec<LinkId>>,
     disturb_neighbors: Vec<Vec<LinkId>>,
@@ -134,11 +133,6 @@ impl Topology {
         &self.nodes[id.index()]
     }
 
-    /// All ports.
-    pub fn ports(&self) -> &[Port] {
-        &self.ports
-    }
-
     /// A port by id.
     pub fn port(&self, id: PortId) -> &Port {
         &self.ports[id.index()]
@@ -152,11 +146,6 @@ impl Topology {
     /// A link by id.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
-    }
-
-    /// Mutable link access (cable replacement).
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.index()]
     }
 
     /// Number of links.
@@ -198,11 +187,6 @@ impl Topology {
         &self.node_ports[n.index()]
     }
 
-    /// The link seated in a port, if cabled.
-    pub fn port_link(&self, p: PortId) -> Option<LinkId> {
-        self.port_link[p.index()]
-    }
-
     /// Node endpoints of a link.
     pub fn endpoints(&self, l: LinkId) -> (NodeId, NodeId) {
         let link = &self.links[l.index()];
@@ -232,39 +216,6 @@ impl Topology {
     /// perturbed when this link's cable is touched (§1 cascading failures).
     pub fn disturb_neighbors(&self, l: LinkId) -> &[LinkId] {
         &self.disturb_neighbors[l.index()]
-    }
-
-    /// Given a link and one of its endpoint nodes, the port on that node.
-    pub fn port_on(&self, l: LinkId, n: NodeId) -> Option<PortId> {
-        let link = &self.links[l.index()];
-        if self.ports[link.a.index()].node == n {
-            Some(link.a)
-        } else if self.ports[link.b.index()].node == n {
-            Some(link.b)
-        } else {
-            None
-        }
-    }
-
-    /// Mean cable length in meters (wiring-complexity input for topomaint).
-    pub fn mean_cable_length_m(&self) -> f64 {
-        if self.links.is_empty() {
-            return 0.0;
-        }
-        self.links.iter().map(|l| l.cable.length_m).sum::<f64>() / self.links.len() as f64
-    }
-
-    /// Fraction of links whose cable leaves its rack.
-    pub fn cross_rack_fraction(&self) -> f64 {
-        if self.links.is_empty() {
-            return 0.0;
-        }
-        let cross = self
-            .links
-            .iter()
-            .filter(|l| !l.route.segments.is_empty())
-            .count();
-        cross as f64 / self.links.len() as f64
     }
 }
 
@@ -497,7 +448,6 @@ impl TopologyBuilder {
             ports: self.ports,
             links: self.links,
             node_ports: self.node_ports,
-            port_link: self.port_link,
             adjacency,
             tray_occupancy,
             disturb_neighbors: disturb,
@@ -563,15 +513,6 @@ mod tests {
         let pa = t.port(l.a);
         assert!(pa.xcvr.is_some());
         assert_eq!(pa.xcvr.as_ref().unwrap().form, FormFactor::QsfpDd);
-    }
-
-    #[test]
-    fn port_on_returns_correct_side() {
-        let t = two_rack_pair();
-        let l = LinkId(0);
-        let p = t.port_on(l, NodeId(1)).unwrap();
-        assert_eq!(t.port(p).node, NodeId(1));
-        assert!(t.port_on(l, NodeId(2)).is_none());
     }
 
     #[test]
@@ -708,10 +649,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_helpers() {
+    fn servers_and_switches_are_listed() {
         let t = two_rack_pair();
-        assert!(t.mean_cable_length_m() > 0.0);
-        assert!((t.cross_rack_fraction() - 0.5).abs() < 1e-9);
         assert_eq!(t.servers().len(), 1);
         assert_eq!(t.switches().len(), 2);
     }

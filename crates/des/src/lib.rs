@@ -4,11 +4,11 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time,
 //! * [`Scheduler`] — a deterministic timestamped event queue (FIFO within a
-//!   timestamp, O(1) lazy cancellation, optional horizon),
+//!   timestamp, optional horizon),
 //! * [`SimRng`] / [`Stream`] — reproducible named RNG substreams so each
 //!   stochastic process owns an independent sequence,
-//! * [`Dist`] — the sampling distributions (exponential, Weibull,
-//!   log-normal, Pareto, triangular, …) used by failure and repair models.
+//! * [`Dist`] — the sampling distributions (exponential and log-normal)
+//!   used by failure and repair models.
 //!
 //! ## Why not an async runtime?
 //!
@@ -58,7 +58,7 @@ mod rng;
 mod sched;
 mod time;
 
-pub use dist::{Dist, DistError};
+pub use dist::Dist;
 pub use rng::{RngRestore, SimRng, Stream, StreamRestore};
-pub use sched::{EventKey, Fired, SchedProf, SchedStats, Scheduler};
+pub use sched::{Fired, SchedProf, Scheduler};
 pub use time::{SimDuration, SimTime};

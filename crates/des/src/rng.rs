@@ -226,11 +226,6 @@ impl Stream {
         &self.label
     }
 
-    /// The ordinal this stream was derived under.
-    pub fn stream_index(&self) -> u64 {
-        self.index
-    }
-
     /// Generator steps consumed so far. Together with `(label, index)`
     /// this pins the stream's exact position for checkpointing.
     pub fn draws(&self) -> u64 {
@@ -664,7 +659,6 @@ mod tests {
         // Position resets: reseeded streams start their own sequence.
         assert_eq!(s.draws(), 0);
         assert_eq!(s.label(), "golden");
-        assert_eq!(s.stream_index(), 7);
         let mut want = branch_root.stream("golden", 7);
         for _ in 0..32 {
             assert_eq!(s.next_u64(), want.next_u64());

@@ -147,11 +147,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// Span in minutes, as a float.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_MIN as f64
-    }
-
     /// Span in hours, as a float.
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_HOUR as f64

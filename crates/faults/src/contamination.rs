@@ -110,16 +110,6 @@ impl EndFace {
         self.cores.iter().all(|&c| c <= Self::PASS_THRESHOLD)
     }
 
-    /// Indices of cores failing inspection.
-    pub fn failing_cores(&self) -> Vec<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > Self::PASS_THRESHOLD)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Packet-loss contribution of this end-face: negligible below the
     /// pass threshold, rising superlinearly beyond it (insertion loss →
     /// BER → frame loss is a steep curve).
@@ -156,7 +146,6 @@ mod tests {
         let mut r = rng();
         let ef = EndFace::contaminated(8, 1.0, &mut r);
         assert!(!ef.passes_inspection());
-        assert!(!ef.failing_cores().is_empty());
         assert!(ef.loss_contribution() > 0.0);
     }
 

@@ -62,17 +62,6 @@ impl Environment {
         let vib_term = 1.0 + 0.8 * self.vibration;
         (temp_term * humid_term * vib_term).clamp(0.5, 3.0)
     }
-
-    /// A harsher environment used by stress experiments.
-    pub fn stressed() -> Self {
-        Environment {
-            base_temp_c: 28.0,
-            diurnal_amp_c: 4.0,
-            row_gradient_c: 0.8,
-            humidity: 0.65,
-            vibration: 0.35,
-        }
-    }
 }
 
 /// Diurnal fabric-utilization curve in `[0, 1]`: the §4 proactive planner
@@ -123,7 +112,13 @@ mod tests {
     #[test]
     fn stressed_env_raises_hazard() {
         let n = Environment::default();
-        let s = Environment::stressed();
+        let s = Environment {
+            base_temp_c: 28.0,
+            diurnal_amp_c: 4.0,
+            row_gradient_c: 0.8,
+            humidity: 0.65,
+            vibration: 0.35,
+        };
         let t = at_hour(15);
         assert!(s.stress_factor(t, 3) > 1.2 * n.stress_factor(t, 3));
     }

@@ -1,19 +1,19 @@
 //! The fault-arrival process.
 //!
 //! Incidents arrive as a Poisson process over the whole fabric (rate =
-//! links / MTBI, modulated by environmental stress), each landing on a
-//! uniformly random link; the incident's hidden cause is sampled by the
-//! link's cable medium, and its manifestation (degraded / flapping /
-//! down, plus loss rate) by the cause. Disturbance-seeded *latent* faults
-//! enter through [`FaultInjector::seeded_incident`] with an
-//! hours-to-days manifestation delay — the §1 cascading failure that
-//! shows up "intermittently over time".
+//! summed per-link hazard / MTBI, modulated by environmental stress). The
+//! engine picks each incident's link by hazard weight and its hidden
+//! cause by the link's cable medium; [`FaultInjector::seeded_incident`]
+//! samples the manifestation (degraded / flapping / down, plus loss rate)
+//! from the cause. Disturbance-seeded *latent* faults enter the same way
+//! after an hours-to-days manifestation delay — the §1 cascading failure
+//! that shows up "intermittently over time".
 //!
 //! A configurable fraction of gray incidents *self-heal* (the transient
 //! comes and goes), producing the false-positive tickets the paper says
 //! fine-grained repair control must tolerate.
 
-use dcmaint_dcnet::{LinkHealth, LinkId, Topology};
+use dcmaint_dcnet::{LinkHealth, LinkId};
 use dcmaint_des::{Dist, SimDuration, SimRng, Stream};
 
 use crate::cause::RootCause;
@@ -67,6 +67,8 @@ pub struct Incident {
 pub struct FaultInjector {
     cfg: FaultConfig,
     arrivals: Stream,
+    /// Never drawn: organic causes come from the engine's own stream.
+    /// Checkpoint format v4 still records its (zero) draw count.
     causes: Stream,
     manifests: Stream,
 }
@@ -102,16 +104,9 @@ impl FaultInjector {
         Dist::Exp { mean }.sample_duration(&mut self.arrivals)
     }
 
-    /// Generate the next organic incident on a uniformly random link.
-    pub fn next_incident(&mut self, topo: &Topology) -> Incident {
-        let link = LinkId::from_index(self.arrivals.index(topo.link_count()));
-        let medium = topo.link(link).cable.medium;
-        let cause = RootCause::sample(medium, &mut self.causes);
-        self.manifest(link, cause)
-    }
-
-    /// Manifest a specific cause on a specific link (latent faults seeded
-    /// by disturbance, or experiment-scripted failures).
+    /// Manifest a specific cause on a specific link: an organic incident
+    /// the engine drew, a latent fault seeded by disturbance, or an
+    /// experiment-scripted failure.
     pub fn seeded_incident(&mut self, link: LinkId, cause: RootCause) -> Incident {
         self.manifest(link, cause)
     }
@@ -162,7 +157,7 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use dcmaint_dcnet::gen::leaf_spine;
-    use dcmaint_dcnet::DiversityProfile;
+    use dcmaint_dcnet::{DiversityProfile, Topology};
 
     fn topo() -> Topology {
         leaf_spine(
@@ -177,6 +172,34 @@ mod tests {
 
     fn injector() -> FaultInjector {
         FaultInjector::new(FaultConfig::default(), &SimRng::root(42))
+    }
+
+    /// Organic incidents drawn the way `Engine::on_fault` draws them: the
+    /// link by hazard weight (every link at the nominal weight 1 here)
+    /// and the cause by that link's medium, each from a stream of its
+    /// own, then manifested through `seeded_incident`.
+    struct Organic {
+        inj: FaultInjector,
+        hazard: Stream,
+        causes: Stream,
+    }
+
+    impl Organic {
+        fn new() -> Self {
+            let rng = SimRng::root(42);
+            Organic {
+                inj: injector(),
+                hazard: rng.stream("hazard", 0),
+                causes: rng.stream("engine-causes", 0),
+            }
+        }
+
+        fn next(&mut self, topo: &Topology) -> Incident {
+            let weights = vec![1.0; topo.link_count()];
+            let link = LinkId::from_index(self.hazard.weighted_index(&weights));
+            let cause = RootCause::sample(topo.link(link).cable.medium, &mut self.causes);
+            self.inj.seeded_incident(link, cause)
+        }
     }
 
     #[test]
@@ -208,9 +231,9 @@ mod tests {
     #[test]
     fn incidents_land_on_valid_links() {
         let t = topo();
-        let mut inj = injector();
+        let mut org = Organic::new();
         for _ in 0..500 {
-            let i = inj.next_incident(&t);
+            let i = org.next(&t);
             assert!(i.link.index() < t.link_count());
             assert!(i.loss >= 0.0 && i.loss <= 1.0);
             assert_ne!(i.health, LinkHealth::Up);
@@ -220,9 +243,9 @@ mod tests {
     #[test]
     fn causes_respect_medium() {
         let t = topo();
-        let mut inj = injector();
+        let mut org = Organic::new();
         for _ in 0..2000 {
-            let i = inj.next_incident(&t);
+            let i = org.next(&t);
             let medium = t.link(i.link).cable.medium;
             if i.cause == RootCause::DirtyEndFace {
                 assert!(medium.is_optical(), "dirt on copper link");
@@ -233,9 +256,9 @@ mod tests {
     #[test]
     fn hard_down_never_self_heals() {
         let t = topo();
-        let mut inj = injector();
+        let mut org = Organic::new();
         for _ in 0..2000 {
-            let i = inj.next_incident(&t);
+            let i = org.next(&t);
             if i.health == LinkHealth::Down {
                 assert!(i.self_heal_after.is_none());
             }
@@ -245,11 +268,11 @@ mod tests {
     #[test]
     fn some_gray_incidents_self_heal() {
         let t = topo();
-        let mut inj = injector();
+        let mut org = Organic::new();
         let mut gray = 0;
         let mut heal = 0;
         for _ in 0..5000 {
-            let i = inj.next_incident(&t);
+            let i = org.next(&t);
             if i.health != LinkHealth::Down {
                 gray += 1;
                 if i.self_heal_after.is_some() {
@@ -283,11 +306,11 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let t = topo();
-        let mut a = injector();
-        let mut b = injector();
+        let mut a = Organic::new();
+        let mut b = Organic::new();
         for _ in 0..50 {
-            let ia = a.next_incident(&t);
-            let ib = b.next_incident(&t);
+            let ia = a.next(&t);
+            let ib = b.next(&t);
             assert_eq!(ia.link, ib.link);
             assert_eq!(ia.cause, ib.cause);
             assert_eq!(ia.health, ib.health);

@@ -8,7 +8,7 @@
 //!   availability fraction, MTBF, MTTR, and downtime-window samples;
 //! * [`FleetAvailability`] — aggregates many entities (e.g. all links) into
 //!   a fleet view;
-//! * "nines" conversion helpers ([`nines`], [`availability_from_nines`]).
+//! * the "nines" conversion ([`nines`]).
 
 use std::collections::BTreeMap;
 
@@ -74,11 +74,6 @@ impl AvailabilityTracker {
         self.downtime_windows.record(window);
         self.up = true;
         self.since = t;
-    }
-
-    /// Whether the entity is currently up.
-    pub fn is_up(&self) -> bool {
-        self.up
     }
 
     /// Close the ledger at `end` (attributing the open interval) and return
@@ -177,16 +172,6 @@ impl FleetAvailability {
         self.entry(key).mark_up(t);
     }
 
-    /// Whether entity `key` is up (entities never touched are up).
-    pub fn is_up(&self, key: u64) -> bool {
-        self.trackers.get(&key).is_none_or(|t| t.is_up())
-    }
-
-    /// Number of tracked entities (ones ever touched).
-    pub fn tracked(&self) -> usize {
-        self.trackers.len()
-    }
-
     /// Fleet-wide summary at `end` over `population` entities. Entities
     /// never touched contribute perfect uptime, so pass the true population
     /// (e.g. total link count), not just the ones that failed.
@@ -253,11 +238,6 @@ pub fn nines(availability: f64) -> f64 {
         return 0.0;
     }
     (-(1.0 - availability).log10()).clamp(0.0, 12.0)
-}
-
-/// Convert a nines count to an availability fraction (3.0 → 0.999).
-pub fn availability_from_nines(n: f64) -> f64 {
-    1.0 - 10f64.powf(-n)
 }
 
 #[cfg(test)]
@@ -348,18 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn nines_roundtrip() {
+    fn nines_of_known_availabilities() {
         assert!((nines(0.999) - 3.0).abs() < 1e-9);
-        assert!((availability_from_nines(4.0) - 0.9999).abs() < 1e-12);
+        assert!((nines(0.9999) - 4.0).abs() < 1e-9);
         assert_eq!(nines(1.0), 12.0);
         assert_eq!(nines(0.0), 0.0);
-        let a = 0.99995;
-        assert!((availability_from_nines(nines(a)) - a).abs() < 1e-9);
-    }
-
-    #[test]
-    fn untouched_entity_is_up() {
-        let f = FleetAvailability::new(t(0));
-        assert!(f.is_up(42));
     }
 }

@@ -9,11 +9,10 @@
 //! insensitive to the exact unit prices (documented per-field below).
 
 use dcmaint_des::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Unit prices. Defaults are order-of-magnitude public figures, chosen so
 /// ratios (not absolutes) carry the comparisons.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// Fully-loaded datacenter technician cost per hour (USD). Public
     /// salary data puts loaded cost near $60–120/h; we take the middle.
@@ -55,7 +54,7 @@ impl Default for CostModel {
 }
 
 /// Running totals per cost axis.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CostLedger {
     /// Technician labor (USD).
     pub labor: f64,
@@ -110,11 +109,6 @@ impl CostLedger {
         self.downtime += model.downtime_per_link_hour * link_time.as_hours_f64();
     }
 
-    /// Charge standing redundancy: `links` spare links carried for `time`.
-    pub fn charge_redundancy(&mut self, model: &CostModel, links: usize, time: SimDuration) {
-        self.redundancy += model.redundant_link_annual * links as f64 * time.as_days_f64() / 365.0;
-    }
-
     /// Grand total (USD).
     pub fn total(&self) -> f64 {
         self.labor + self.robots + self.hardware + self.downtime + self.redundancy
@@ -166,17 +160,6 @@ mod tests {
         l.charge_hardware(&m, HardwareKind::Switch);
         l.charge_hardware(&m, HardwareKind::LineCard);
         assert!((l.hardware - (600.0 + 250.0 + 18_000.0 + 4_500.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn redundancy_prorates_by_time() {
-        let m = CostModel::default();
-        let mut l = CostLedger::new();
-        l.charge_redundancy(&m, 10, SimDuration::from_days(365));
-        assert!((l.redundancy - 8000.0).abs() < 1e-6);
-        let mut half = CostLedger::new();
-        half.charge_redundancy(&m, 10, SimDuration::from_days(365) / 2);
-        assert!((half.redundancy - 4000.0).abs() < 1e-6);
     }
 
     #[test]

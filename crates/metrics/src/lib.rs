@@ -2,8 +2,7 @@
 //!
 //! Everything the experiments measure flows through this crate:
 //!
-//! * [`StreamingStats`], [`SampleSet`], [`DurationSamples`] — streaming
-//!   and exact-quantile statistics,
+//! * [`SampleSet`], [`DurationSamples`] — exact-quantile statistics,
 //! * [`AvailabilityTracker`], [`FleetAvailability`] — up/down ledgers
 //!   yielding availability, MTBF, MTTR and downtime-window distributions,
 //! * [`CostModel`], [`CostLedger`] — labor / robot / hardware / downtime /
@@ -25,10 +24,7 @@ mod cost;
 mod stats;
 mod table;
 
-pub use avail::{
-    availability_from_nines, nines, AvailabilitySummary, AvailabilityTracker, FleetAvailability,
-    FleetSummary,
-};
+pub use avail::{nines, AvailabilitySummary, AvailabilityTracker, FleetAvailability, FleetSummary};
 pub use cost::{CostLedger, CostModel, HardwareKind};
-pub use stats::{mean_ci95, Beta, Ci95, DurationSamples, SampleSet, StreamingStats};
+pub use stats::{mean_ci95, Beta, Ci95, DurationSamples, SampleSet};
 pub use table::{fnum, Align, Cell, Table};

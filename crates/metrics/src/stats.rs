@@ -1,123 +1,13 @@
-//! Streaming and collected statistics.
+//! Collected statistics.
 //!
-//! Two flavours:
-//!
-//! * [`StreamingStats`] — O(1) memory Welford accumulator for mean/variance
-//!   plus min/max. Used where sample counts are unbounded (per-link loss
-//!   samples over a 90-day run).
 //! * [`SampleSet`] — keeps every observation for exact quantiles. Used for
 //!   the distributions experiments report (service-window CDFs, p99 FCT).
 //!   Memory is bounded by reservoir sampling above a configurable cap.
+//!   [`DurationSamples`] is the same collector over durations.
+//! * [`mean_ci95`] / [`Ci95`] — a mean with its t-based 95% interval.
+//! * [`Beta`] — the conjugate posterior the autonomic plane learns with.
 
 use dcmaint_des::{SimDuration, Stream};
-
-/// O(1)-memory running mean/variance/min/max (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct StreamingStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        StreamingStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation. Non-finite values are ignored (they would
-    /// poison the accumulator irrecoverably).
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of (finite) observations recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0.0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Exact-quantile sample collector with an optional reservoir cap.
 ///
@@ -271,27 +161,6 @@ impl SampleSet {
     /// Iterate over held samples (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.samples.iter().copied()
-    }
-
-    /// Sample variance (n−1 denominator); 0.0 with fewer than two
-    /// observations. This is the estimator CI computation needs, as
-    /// opposed to [`StreamingStats::variance`]'s population variance.
-    pub fn sample_variance(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        self.samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / (n - 1) as f64
-    }
-
-    /// Sample standard deviation (n−1 denominator).
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Mean with a two-sided 95% confidence half-width, t-distribution
@@ -561,60 +430,6 @@ mod tests {
     use dcmaint_des::SimRng;
 
     #[test]
-    fn streaming_mean_and_variance() {
-        let mut s = StreamingStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn streaming_ignores_non_finite() {
-        let mut s = StreamingStats::new();
-        s.record(f64::NAN);
-        s.record(f64::INFINITY);
-        s.record(3.0);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.mean(), 3.0);
-    }
-
-    #[test]
-    fn streaming_empty_defaults() {
-        let s = StreamingStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn streaming_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = StreamingStats::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn quantiles_exact_small() {
         let mut s = SampleSet::new();
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
@@ -746,8 +561,6 @@ mod tests {
             s.record(x);
         }
         assert_eq!(s.mean_ci95(), ci);
-        assert!((s.sample_variance() - 1.0).abs() < 1e-12);
-        assert!((s.sample_stddev() - 1.0).abs() < 1e-12);
     }
 
     #[test]

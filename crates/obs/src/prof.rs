@@ -43,7 +43,7 @@ pub const PROF_PREFIX: &str = "prof/";
 /// The span taxonomy: every engine event and hot-path hook is attributed
 /// to exactly one of these subsystems (DESIGN §3.13).
 pub const SUBSYSTEMS: &[&str] = &[
-    "sched",      // des::sched schedule/pop/cancel + queue bookkeeping
+    "sched",      // des::sched schedule/pop + queue bookkeeping
     "faults",     // fault arrivals, self-heals, flaps, cascades
     "dcnet",      // link recompute + telemetry polling
     "controller", // dispatch decisions, proactive/predictive scans

@@ -161,11 +161,6 @@ impl OpOutcome {
             OpOutcome::AbortedUnsafe => "aborted-unsafe",
         }
     }
-
-    /// True for the two abort outcomes.
-    pub fn is_abort(self) -> bool {
-        matches!(self, OpOutcome::AbortedSafe | OpOutcome::AbortedUnsafe)
-    }
 }
 
 /// Outcome of executing an operation plan.
@@ -212,14 +207,6 @@ impl OpResult {
     pub fn total(&self) -> SimDuration {
         self.phases
             .iter()
-            .fold(SimDuration::ZERO, |acc, p| acc + p.duration)
-    }
-
-    /// Time spent in one phase kind.
-    pub fn time_in(&self, phase: OpPhase) -> SimDuration {
-        self.phases
-            .iter()
-            .filter(|p| p.phase == phase)
             .fold(SimDuration::ZERO, |acc, p| acc + p.duration)
     }
 }
@@ -733,9 +720,10 @@ mod tests {
             if !res.success {
                 continue;
             }
-            if res.time_in(OpPhase::CleanWet) > SimDuration::ZERO {
+            let ran = |phase| res.phases.iter().any(|p| p.phase == phase);
+            if ran(OpPhase::CleanWet) {
                 wet_used += 1;
-            } else if res.time_in(OpPhase::CleanDry) > SimDuration::ZERO {
+            } else if ran(OpPhase::CleanDry) {
                 dry_only += 1;
             }
         }
@@ -751,8 +739,10 @@ mod tests {
         let mut ef = EndFace::pristine(8);
         let res = run_clean(&t, &v, 0.0, 0.0, 0.0, &mut ef, &mut r);
         assert!(res.success);
-        assert_eq!(res.time_in(OpPhase::CleanDry), SimDuration::ZERO);
-        assert_eq!(res.time_in(OpPhase::CleanWet), SimDuration::ZERO);
+        assert!(res
+            .phases
+            .iter()
+            .all(|p| !matches!(p.phase, OpPhase::CleanDry | OpPhase::CleanWet)));
     }
 
     #[test]
@@ -865,7 +855,6 @@ mod tests {
         let mut r = rng();
         let out = afflict(one_phase(OpPhase::Extract, 60), &cfg, &mut r);
         assert_eq!(out.outcome, OpOutcome::AbortedUnsafe);
-        assert!(out.outcome.is_abort());
     }
 
     #[test]

@@ -598,13 +598,13 @@ impl Engine {
         // Temporarily take the queue so handlers can schedule into it
         // while borrowing the rest of the engine mutably.
         let mut sched = std::mem::replace(&mut self.sched, Scheduler::with_horizon(SimTime::ZERO));
-        // Self-profiler: the pop (tombstone skipping included) is the
-        // scheduler's own share of the loop. Every prof call below is a
-        // no-op returning `None` when profiling is off.
+        // Self-profiler: the pop is the scheduler's own share of the
+        // loop. Every prof call below is a no-op returning `None` when
+        // profiling is off.
         let t_pop = self.prof.start();
         let popped = sched.pop();
         self.prof.record("sched", "pop", t_pop);
-        let out = if let Some(Fired { at, payload, .. }) = popped {
+        let out = if let Some(Fired { at, payload }) = popped {
             // Stamp the journal clock once per dispatch; emitters never
             // thread `now` through their signatures.
             self.journal.set_now(at);
@@ -909,10 +909,7 @@ impl Engine {
     /// administratively in service (drained/maintenance time counts as
     /// unavailability — intentional drains are still capacity loss).
     fn update_availability(&mut self, l: LinkId, now: SimTime) {
-        let s = self.state.link(l);
-        let available = s.health.carries_traffic()
-            && matches!(s.admin, AdminState::InService | AdminState::Draining);
-        if available {
+        if self.state.link(l).routable() {
             self.avail.mark_up(l.key(), now);
         } else {
             self.avail.mark_down(l.key(), now);
@@ -2531,15 +2528,13 @@ impl Engine {
             .count() as u64;
         // Self-profiler: fold the scheduler's lifetime counters into the
         // registry once, at the end — copying per-event would double
-        // count across checkpoint/restore boundaries. All five are
+        // count across checkpoint/restore boundaries. All three are
         // functions of the deterministic event sequence.
         if self.prof.is_enabled() {
             let sp = self.sched.prof();
             self.registry.add("prof/sched/scheduled", sp.scheduled);
             self.registry
                 .add("prof/sched/dropped-horizon", sp.dropped_horizon);
-            self.registry.add("prof/sched/canceled", sp.canceled);
-            self.registry.add("prof/sched/compactions", sp.compactions);
             self.registry.add("prof/sched/max-pending", sp.max_pending);
         }
         // Read before the registry moves into the obs report below.

@@ -2,12 +2,12 @@
 //!
 //! A snapshot is the *complete* mutable state of a mid-run [`Engine`],
 //! canonically encoded: the scheduler's clock and pending queue (with
-//! sequence tiebreakers and cancellation tombstones), every component's
-//! state, all counters, the observability plane, and the position of
-//! every RNG substream. The encoding is deterministic byte-for-byte, so
-//! two engines are in the same logical state **iff** their snapshots are
-//! byte-equal — which is what makes [`Engine::state_hash`] a meaningful
-//! equivalence check and what the divergence bisector builds on.
+//! sequence tiebreakers), every component's state, all counters, the
+//! observability plane, and the position of every RNG substream. The
+//! encoding is deterministic byte-for-byte, so two engines are in the
+//! same logical state **iff** their snapshots are byte-equal — which is
+//! what makes [`Engine::state_hash`] a meaningful equivalence check and
+//! what the divergence bisector builds on.
 //!
 //! The payload layout is the [`Persist`] definition below: one ordered
 //! field list per state type, from which `snapshot`, `fork_bytes`,

@@ -85,11 +85,6 @@ impl Spool {
         })
     }
 
-    /// The spool directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn ingress_path(&self) -> PathBuf {
         self.dir.join("ingress.log")
     }

@@ -140,11 +140,6 @@ impl Detector {
         alert
     }
 
-    /// Whether the detector may fire.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Force re-arm (after maintenance verified the link healthy).
     pub fn rearm(&mut self) {
         self.armed = true;
@@ -224,7 +219,8 @@ mod tests {
         let (mut d, mut c) = setup();
         c.record_sample(t(0), 0.01);
         assert!(d.evaluate(LinkId(0), &mut c, 0.01, t(0)).is_some());
-        assert!(!d.is_armed());
+        // Inside the hold-off even a hard-down reading stays silent.
+        assert!(d.evaluate(LinkId(0), &mut c, 1.0, t(1)).is_none());
         // 31 minutes later, telemetry clean again (e.g. self-healed, then
         // a new incident). EWMA decayed via clean samples.
         for i in 1..60 {
@@ -241,7 +237,6 @@ mod tests {
         c.record_sample(t(0), 1.0);
         assert!(d.evaluate(LinkId(0), &mut c, 1.0, t(0)).is_some());
         d.rearm();
-        assert!(d.is_armed());
         assert!(d.evaluate(LinkId(0), &mut c, 1.0, t(1)).is_some());
     }
 
@@ -285,7 +280,8 @@ mod tests {
             // It fired the moment the threshold was crossed (4th
             // transition, index 3) — not late, not early.
             proptest::prop_assert_eq!(first_at, Some(3));
-            proptest::prop_assert!(!d.is_armed());
+            // Still disarmed: a hard-down reading right after is held off.
+            proptest::prop_assert!(d.evaluate(LinkId(0), &mut c, 1.0, t(now_s + 1)).is_none());
         }
     }
 

@@ -133,18 +133,6 @@ impl TechnicianPool {
         self.tasks.chance(self.cfg.botch_prob)
     }
 
-    /// Staff on shift at `t`: full day crew 08:00–20:00, night crew
-    /// otherwise.
-    pub fn staff_at(&self, t: SimTime) -> usize {
-        let h = t.time_of_day().as_hours_f64();
-        if (DAY_START_H as f64..DAY_END_H as f64).contains(&h) {
-            self.cfg.day_staff
-        } else {
-            self.cfg.night_staff
-        }
-        .max(1)
-    }
-
     /// Book the earliest available technician for a ticket triaged at
     /// `now`, walking `walk_m` meters, holding the hardware for
     /// `hands_on`. Returns the assignment; the technician is reserved
@@ -289,14 +277,6 @@ mod tests {
             })
             .count();
         assert!(day_starts >= 1, "second job waits for day shift");
-    }
-
-    #[test]
-    fn staffing_levels_by_hour() {
-        let p = pool();
-        assert_eq!(p.staff_at(at_hour(12)), 4);
-        assert_eq!(p.staff_at(at_hour(2)), 1);
-        assert_eq!(p.staff_at(at_hour(20)), 1, "20:00 is night");
     }
 
     #[test]

@@ -398,15 +398,6 @@ impl TicketBoard {
         }
         out
     }
-
-    /// Service-window samples of all closed, non-spurious tickets.
-    pub fn service_windows(&self) -> Vec<SimDuration> {
-        self.tickets
-            .iter()
-            .filter(|t| t.state == TicketState::Closed)
-            .filter_map(Ticket::service_window)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -452,7 +443,6 @@ mod tests {
             b.get(id).service_window(),
             Some(SimDuration::from_secs(300))
         );
-        assert_eq!(b.service_windows(), vec![SimDuration::from_secs(300)]);
     }
 
     #[test]
@@ -460,7 +450,6 @@ mod tests {
         let mut b = TicketBoard::new();
         let (id, _) = b.open(LinkId(1), TicketTrigger::GrayLoss, Priority::P2, at(0));
         b.close(id, at(50), true);
-        assert!(b.service_windows().is_empty());
         assert_eq!(b.get(id).state, TicketState::ClosedSpurious);
     }
 

@@ -44,13 +44,6 @@ pub enum TwinPolicy {
     TwinGuided(TwinConfig),
 }
 
-impl TwinPolicy {
-    /// Whether twin planning is active.
-    pub fn is_twin(&self) -> bool {
-        matches!(self, TwinPolicy::TwinGuided(_))
-    }
-}
-
 /// Tuning for twin-guided planning.
 #[derive(Debug, Clone)]
 pub struct TwinConfig {
@@ -330,8 +323,6 @@ mod tests {
         assert!(c.samples >= 1);
         assert!(c.commit_margin >= 0.0);
         assert!(c.horizon > SimDuration::ZERO);
-        assert!(TwinPolicy::TwinGuided(c).is_twin());
-        assert!(!TwinPolicy::Ladder.is_twin());
     }
 
     #[test]

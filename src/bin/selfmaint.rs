@@ -742,7 +742,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let seeds = args
         .parse::<NonZeroU64>("--seeds")?
         .map_or(8, NonZeroU64::get);
-    let jobs: usize = args.parse_or("--jobs", 1)?;
+    let jobs = args.parse_or("--jobs", NonZeroUsize::MIN)?.get();
     let days: u64 = args.parse_or("--days", 14)?;
     let seed: u64 = args.parse_or("--seed", 42)?;
     let quick = args.flag("--quick");
@@ -788,7 +788,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         "sweeping {} level(s) × {} seed(s) on {} worker(s), {} simulated days each…",
         p.levels.len(),
         seeds,
-        jobs.max(1),
+        jobs,
         days
     );
     let out = run_engine_sweep(&p);

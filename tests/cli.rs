@@ -195,13 +195,14 @@ fn trace_and_sweep_match_their_goldens() {
 #[test]
 fn undeclared_repeated_and_valueless_arguments_exit_2_before_running() {
     let dir = scratch("strict");
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["run", "--dayz", "1"], "--dayz"),
         (&["run", "--help"], "--help"),
         (&["run", "30"], "\"30\""),
         (&["run", "--seed", "5", "--seed", "9"], "--seed"),
         (&["levels", "--bogus-flag"], "--bogus-flag"),
         (&["sweep", "--seedz", "2"], "--seedz"),
+        (&["sweep", "--jobs", "0"], "--jobs"),
         (&["advise", "--target"], "--target"),
         (&["trace", "--journal", "--days", "1"], "--journal"),
         (&["experiments", "e17"], "\"e17\""),

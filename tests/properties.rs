@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use selfmaint::control::{k_of_n_availability, member_availability};
 use selfmaint::des::{Dist, Scheduler, SimDuration, SimRng, SimTime};
 use selfmaint::faults::{EndFace, RepairAction, RootCause};
-use selfmaint::metrics::{nines, SampleSet, StreamingStats};
+use selfmaint::metrics::{nines, SampleSet};
 use selfmaint::net::flows::{allocate, tail_latency_multiplier, Demand};
 use selfmaint::net::gen::{fat_tree, jellyfish, leaf_spine};
 use selfmaint::net::routing::{connected, connected_pairs, distances_from};
@@ -45,28 +45,13 @@ proptest! {
         let mut stream = SimRng::root(seed).stream("prop", 0);
         for d in [
             Dist::Exp { mean },
-            Dist::Weibull { scale: mean, shape: 1.5 },
             Dist::LogNormal { median: mean, sigma: 0.7 },
-            Dist::Pareto { xm: mean, alpha: 2.0 },
         ] {
             for _ in 0..20 {
                 let x = d.sample(&mut stream);
                 prop_assert!(x.is_finite() && x >= 0.0, "{d:?} produced {x}");
             }
         }
-    }
-
-    /// Welford streaming stats agree with the naive two-pass computation.
-    #[test]
-    fn streaming_stats_match_naive(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut s = StreamingStats::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var));
     }
 
     /// Exact quantiles are monotone in q and bounded by min/max.
@@ -368,7 +353,7 @@ proptest! {
         let horizon = claims.iter().map(|&(_, s)| s).max().unwrap();
         for &(id, start) in &claims {
             ledger.release(id, SimTime::ZERO);
-            prop_assert!(!ledger.is_held_beyond(id, start));
+            prop_assert!(!ledger.open_claim_ids(start).contains(&id));
         }
         prop_assert!(ledger.open_claim_ids(horizon).is_empty());
     }

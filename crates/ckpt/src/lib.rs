@@ -49,7 +49,12 @@ pub const MAGIC: [u8; 8] = *b"DCMCKPT\0";
 /// v4: engine payload carries the autonomic MAPE-K section (efficacy
 /// posteriors, knob state, monitor cursor baselines, adaptation
 /// counters, autonomic RNG stream position).
-pub const VERSION: u32 = 4;
+/// v5: each RNG stream saves its four generator words instead of a draw
+/// count, and the fields v4 kept only for their bytes are gone (the
+/// scheduler's cancellation zeros, the `AdminState` tag gap, the fault
+/// injector's undrawn cause stream, the redundancy cost, the loop's
+/// cause mix and the per-link lifetime transition count).
+pub const VERSION: u32 = 5;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -210,7 +215,6 @@ pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
     link_count: u64,
-    replay: bool,
 }
 
 impl<'a> Dec<'a> {
@@ -220,7 +224,6 @@ impl<'a> Dec<'a> {
             buf,
             pos: 0,
             link_count: u64::MAX,
-            replay: true,
         }
     }
 
@@ -242,20 +245,6 @@ impl<'a> Dec<'a> {
             return Err(CkptError::BadTag("link-id", v));
         }
         Ok(v as usize)
-    }
-
-    /// Leave recorded positions (RNG draw counts) unreplayed: the caller
-    /// has already positioned every stream itself, as a reseeded fork
-    /// does. Positions are still read, so the layout is unchanged.
-    pub fn keep_positions(mut self) -> Self {
-        self.replay = false;
-        self
-    }
-
-    /// Whether loads should replay recorded positions (the default).
-    #[inline]
-    pub fn replays_positions(&self) -> bool {
-        self.replay
     }
 
     /// Bytes not yet consumed.

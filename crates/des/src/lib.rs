@@ -59,6 +59,6 @@ mod sched;
 mod time;
 
 pub use dist::Dist;
-pub use rng::{RngRestore, SimRng, Stream, StreamRestore};
+pub use rng::{SimRng, Stream};
 pub use sched::{Fired, SchedProf, Scheduler};
 pub use time::{SimDuration, SimTime};

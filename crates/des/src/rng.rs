@@ -22,14 +22,11 @@
 //!
 //! Substream derivation uses an FNV-1a hash of the label folded into a
 //! SplitMix64 finalizer — cheap, stable across platforms and rustc versions
-//! (unlike `DefaultHasher`, which is explicitly unstable).
+//! (unlike `DefaultHasher`, which is explicitly unstable). Each stream is
+//! a xoshiro256++ generator whose four state words the stream owns, so a
+//! checkpoint saves exactly those words.
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "the one generator behind every Stream; nothing else names it"
-)]
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use dcmaint_ckpt::{CkptError, Dec, Decode, Enc, Persist};
 
 /// Factory for deterministic RNG substreams. Cheap to copy.
 #[derive(Debug, Clone, Copy)]
@@ -72,26 +69,26 @@ impl SimRng {
     /// Derive the substream named `label` with ordinal `index` (e.g. one
     /// stream per link: `stream("link", link_id)`).
     pub fn stream(&self, label: &str, index: u64) -> Stream {
-        let mut s = splitmix64(self.seed ^ fnv1a(label.as_bytes()));
-        s = splitmix64(s ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        // SmallRng seeds from 32 bytes; expand via successive splitmix.
-        let mut bytes = [0u8; 32];
-        let mut x = s;
-        for chunk in bytes.chunks_exact_mut(8) {
-            x = splitmix64(x);
-            chunk.copy_from_slice(&x.to_le_bytes());
-        }
-        #[expect(
-            clippy::disallowed_types,
-            reason = "SimRng::stream is the one place a generator is seeded"
-        )]
-        let inner = SmallRng::from_seed(bytes);
         Stream {
-            inner,
+            s: self.state(label, index),
             label: label.to_owned(),
             index,
-            draws: 0,
         }
+    }
+
+    /// The starting generator state of `(label, index)` under this root:
+    /// four successive splitmix64 words. They are never all zero (if one
+    /// word were zero the next would be `splitmix64(0) ≠ 0`), so no
+    /// derived stream starts at xoshiro's fixed point.
+    fn state(&self, label: &str, index: u64) -> [u64; 4] {
+        let mut x = splitmix64(self.seed ^ fnv1a(label.as_bytes()));
+        x = splitmix64(x ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut s = [0; 4];
+        for w in &mut s {
+            x = splitmix64(x);
+            *w = x;
+        }
+        s
     }
 
     /// Derive a child factory, for handing a namespaced root to a subsystem.
@@ -102,210 +99,79 @@ impl SimRng {
     }
 }
 
-/// How a freshly reconstructed [`Stream`] is brought to its recorded
-/// position (see [`Stream::restore_pos`]).
-///
-/// A checkpoint pins a stream as `(label, index, draws)`. Getting a new
-/// stream *to* `draws` admits three strategies with very different costs:
-///
-/// * [`StreamRestore::Replay`] — burn `draws` raw generator steps.
-///   O(draws): correct everywhere, and the only option when all we have
-///   is the serialized position (disk restore).
-/// * [`StreamRestore::Adopt`] — clone a live donor stream that is
-///   *already at* the target position. O(1): the in-memory fork path,
-///   where the parent engine still holds every stream. This is the
-///   "cache the counted position at fork time" fix — deep-horizon forks
-///   no longer pay linear replay.
-/// * [`StreamRestore::Reseed`] — re-derive the stream from a different
-///   root at draw 0, discarding the recorded position. O(1): used for
-///   twin branches, which deliberately diverge from the parent's noise
-///   while staying fully seeded (same branch root → same sequence).
-#[derive(Debug, Clone, Copy)]
-pub enum StreamRestore<'a> {
-    /// Replay the recorded number of raw draws (O(draws)).
-    Replay,
-    /// Clone this donor, which must match `(label, index)` and already
-    /// sit exactly at the target draw count (O(1)).
-    Adopt(&'a Stream),
-    /// Re-derive `(label, index)` under this root, at draw 0 (O(1)).
-    Reseed(&'a SimRng),
-}
-
-/// A component-level restore mode: the same three strategies as
-/// [`StreamRestore`], but carrying a component-typed donor (`D`, e.g. a
-/// tech pool holding several streams) or an owned namespaced reseed
-/// root. Components project it per stream via [`RngRestore::stream`].
-#[derive(Debug, Clone, Copy)]
-pub enum RngRestore<'a, D> {
-    /// Replay recorded draw counts (O(draws) per stream).
-    Replay,
-    /// Adopt each stream from this live donor component (O(1)).
-    Adopt(&'a D),
-    /// Re-derive each stream fresh under this namespaced root (O(1)).
-    Reseed(SimRng),
-}
-
-impl<'a, D> RngRestore<'a, D> {
-    /// Project the component mode onto one of its streams: `pick`
-    /// selects the matching stream out of the donor component.
-    pub fn stream<'s>(&'s self, pick: impl FnOnce(&'a D) -> &'s Stream) -> StreamRestore<'s>
-    where
-        'a: 's,
-    {
-        match self {
-            RngRestore::Replay => StreamRestore::Replay,
-            RngRestore::Adopt(donor) => StreamRestore::Adopt(pick(donor)),
-            RngRestore::Reseed(root) => StreamRestore::Reseed(root),
-        }
-    }
-}
-
-/// A stream persists as its draw count; `(label, index)` come from the
-/// configuration that rebuilt it. Loading fast-forwards to the recorded
-/// position — a no-op for a stream already [`Stream::reposition`]ed
-/// onto an adopted donor — unless the decoder keeps positions (a
-/// reseeded fork). A recorded position behind the stream is corrupt.
-impl dcmaint_ckpt::Persist for Stream {
-    fn save(&self, enc: &mut dcmaint_ckpt::Enc) {
-        enc.u64(self.draws);
+/// A stream persists as its four generator words; `(label, index)` come
+/// from the configuration that rebuilt it. The all-zero state is
+/// xoshiro's fixed point, which no derived stream reaches, so loading
+/// it is refused as corrupt.
+impl Persist for Stream {
+    fn save(&self, enc: &mut Enc) {
+        self.s.save(enc);
     }
 
-    fn load(&mut self, dec: &mut dcmaint_ckpt::Dec) -> Result<(), dcmaint_ckpt::CkptError> {
-        let target = dec.u64()?;
-        if dec.replays_positions() {
-            if target < self.draws {
-                return Err(dcmaint_ckpt::CkptError::BadTag("stream-position", target));
-            }
-            self.fast_forward_to(target);
+    fn load(&mut self, dec: &mut Dec) -> Result<(), CkptError> {
+        let s = <[u64; 4]>::decode(dec)?;
+        if s == [0; 4] {
+            return Err(CkptError::BadTag("stream-state", 0));
         }
+        self.s = s;
         Ok(())
     }
 }
 
-/// One deterministic random stream. Wraps `SmallRng` and adds the sampling
-/// helpers the simulation needs.
+/// One deterministic random stream: a xoshiro256++ generator plus the
+/// sampling helpers the simulation needs.
 ///
-/// Every helper that touches the generator advances it by *exactly one*
-/// step, and the stream counts those steps in [`Stream::draws`]. A
-/// stream's position is therefore fully described by the triple
-/// `(label, index, draws)` — which is how checkpoints record it: restore
-/// reconstructs the stream from `(label, index)` and fast-forwards it by
-/// `draws` (see [`Stream::fast_forward_to`]).
+/// The four state words are the stream's whole position, which is how
+/// checkpoints record it: restore rebuilds the stream from `(label,
+/// index)` and loads the saved words over it.
 ///
 /// The fields are private and [`SimRng::stream`] is the only
-/// constructor, so every draw in every crate is on a named, counted
-/// stream. Code outside this crate cannot wrap a generator of its own:
+/// constructor, so every draw in every crate is on a named stream. Code
+/// outside this crate cannot build a generator of its own:
 ///
 /// ```compile_fail,E0451
 /// use dcmaint_des::Stream;
-/// use rand::SeedableRng;
 ///
 /// let mut ad_hoc = Stream {
-///     inner: rand::rngs::SmallRng::from_seed([7; 32]),
+///     s: [7; 4],
 ///     label: "ad-hoc".to_string(),
 ///     index: 0,
-///     draws: 0,
 /// };
 /// let _ = ad_hoc.uniform();
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stream {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "private: every draw goes through Stream's counted methods"
-    )]
-    inner: SmallRng,
+    s: [u64; 4],
     label: String,
     index: u64,
-    draws: u64,
 }
 
 impl Stream {
-    /// The label this stream was derived under.
-    pub fn label(&self) -> &str {
-        &self.label
+    /// Re-derive this stream under `root`, at the start of the sequence
+    /// `root.stream(label, index)` would draw. A twin hedge branch loads
+    /// its parent's state and then reseeds, so it runs on noise of its
+    /// own while staying fully seeded.
+    pub fn reseed(&mut self, root: &SimRng) {
+        self.s = root.state(&self.label, self.index);
     }
 
-    /// Generator steps consumed so far. Together with `(label, index)`
-    /// this pins the stream's exact position for checkpointing.
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// Advance the stream to an absolute position of `target` draws —
-    /// the restore half of the checkpoint contract. The stream must not
-    /// already be past `target` (a snapshot can only be *ahead of or at*
-    /// a freshly reconstructed stream, never behind it).
-    ///
-    /// # Panics
-    /// If `target < self.draws()`.
-    pub fn fast_forward_to(&mut self, target: u64) {
-        assert!(
-            target >= self.draws,
-            "stream {:?}[{}] is at draw {} — cannot rewind to {}",
-            self.label,
-            self.index,
-            self.draws,
-            target
-        );
-        while self.draws < target {
-            self.inner.next_u64();
-            self.draws += 1;
-        }
-    }
-
-    /// Bring this stream to the recorded position `target` using the
-    /// chosen strategy (see [`StreamRestore`] for the cost model).
-    ///
-    /// # Panics
-    /// `Replay` panics if `target < self.draws()` (cannot rewind).
-    /// `Adopt` panics if the donor's `(label, index)` differ or the
-    /// donor is not exactly at `target` draws — adopting a mispositioned
-    /// donor would silently break the restore ≡ continuous contract.
-    pub fn restore_pos(&mut self, target: u64, how: StreamRestore<'_>) {
-        match how {
-            StreamRestore::Replay => self.fast_forward_to(target),
-            StreamRestore::Adopt(donor) => {
-                assert_eq!(
-                    (donor.label.as_str(), donor.index),
-                    (self.label.as_str(), self.index),
-                    "adopt donor is a different stream"
-                );
-                assert_eq!(
-                    donor.draws, target,
-                    "adopt donor for {:?}[{}] sits at draw {} — snapshot says {}",
-                    self.label, self.index, donor.draws, target
-                );
-                *self = donor.clone();
-            }
-            StreamRestore::Reseed(root) => {
-                *self = root.stream(&self.label.clone(), self.index);
-            }
-        }
-    }
-
-    /// Position this stream for a fork *before* its recorded position
-    /// loads: adopt the live donor (O(1)) or re-derive under a branch
-    /// root at draw 0 (O(1)). `Replay` leaves the stream for the load
-    /// to fast-forward.
-    pub fn reposition(&mut self, how: StreamRestore<'_>) {
-        match how {
-            StreamRestore::Replay => {}
-            StreamRestore::Adopt(donor) => self.restore_pos(donor.draws, how),
-            StreamRestore::Reseed(_) => self.restore_pos(0, how),
-        }
-    }
-
-    /// Next raw 64-bit value.
+    /// Next raw 64-bit value: one xoshiro256++ step.
     pub fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform float in `[0, 1)`: the top 53 bits of one step.
     pub fn uniform(&mut self) -> f64 {
-        self.draws += 1;
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform float in `[lo, hi)`. Returns `lo` when the range is empty or
@@ -317,14 +183,13 @@ impl Stream {
         lo + (hi - lo) * self.uniform()
     }
 
-    /// Uniform integer in `[0, n)`. `n == 0` returns 0 (without
-    /// consuming a draw).
+    /// Uniform integer in `[0, n)` by Lemire's multiply-shift: one step,
+    /// no rejection loop. `n == 0` returns 0 (without consuming a draw).
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
         } else {
-            self.draws += 1;
-            self.inner.gen_range(0..n)
+            ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
         }
     }
 
@@ -511,13 +376,13 @@ mod tests {
 
     #[test]
     fn golden_values_pin_cross_platform_stability() {
-        // Checkpoints record RNG positions as (label, index, draws) and
-        // fast-forward on restore — which is only sound if the underlying
-        // generator's exact output sequence never changes. This test pins
-        // the first values of a fixed substream. If it ever fails, the
-        // vendored `SmallRng` (xoshiro256++) or the substream derivation
-        // changed behavior, and every existing snapshot is invalid: bump
-        // `dcmaint_ckpt::VERSION` before touching these constants.
+        // Checkpoints save each stream's generator state and reload it
+        // over a stream rebuilt from (label, index) — which is only sound
+        // if the generator (xoshiro256++) and the substream derivation
+        // never change. This test pins the first values of a fixed
+        // substream. If it ever fails, every existing snapshot is
+        // invalid: bump `dcmaint_ckpt::VERSION` before touching these
+        // constants.
         let mut s = SimRng::root(42).stream("golden", 7);
         let got: Vec<u64> = (0..4).map(|_| s.next_u64()).collect();
         assert_eq!(
@@ -528,176 +393,84 @@ mod tests {
                 5603479199768057760,
                 12343104976382023101,
             ],
-            "SmallRng/substream sequence changed — old checkpoints are invalid"
+            "generator/substream sequence changed — old checkpoints are invalid"
         );
         // And the derived seed itself (label/FNV/splitmix path).
         assert_eq!(SimRng::root(42).child("golden").seed(), 8134469790158313673);
     }
 
-    #[test]
-    fn draws_count_every_generator_step_exactly() {
-        let mut s = SimRng::root(11).stream("count", 0);
-        assert_eq!(s.draws(), 0);
-        s.next_u64();
-        s.uniform();
-        s.uniform_range(1.0, 2.0);
-        s.below(10);
-        s.index(5);
-        s.chance(0.5);
-        assert_eq!(s.draws(), 6);
-        // Zero-draw paths consume nothing.
-        s.below(0);
-        s.chance(0.0);
-        s.chance(1.5);
-        s.chance(f64::NAN);
-        s.uniform_range(3.0, 3.0);
-        s.choose::<u8>(&[]);
-        s.shuffle(&mut [1u8]);
-        assert_eq!(s.draws(), 6);
-        // Composite helpers: one draw each…
-        s.weighted_index(&[1.0, 2.0]);
-        s.choose(&[1, 2, 3]);
-        assert_eq!(s.draws(), 8);
-        // …and shuffle spends n−1.
-        let mut v: Vec<u32> = (0..10).collect();
-        s.shuffle(&mut v);
-        assert_eq!(s.draws(), 17);
+    /// Draw `n` values through a mix of the helpers, so the test covers
+    /// every way a stream advances, not only `next_u64` in a row.
+    fn mixed_draws(s: &mut Stream, n: u64) {
+        for i in 0..n {
+            match i % 6 {
+                0 => {
+                    s.next_u64();
+                }
+                1 => {
+                    s.uniform();
+                }
+                2 => {
+                    s.below(1 + i);
+                }
+                3 => {
+                    s.chance(0.7);
+                }
+                4 => {
+                    s.weighted_index(&[1.0, 2.0, 0.5]);
+                }
+                _ => s.shuffle(&mut [1u8, 2, 3, 4]),
+            }
+        }
     }
 
     #[test]
-    fn fast_forward_to_reproduces_a_live_stream() {
-        let mut live = SimRng::root(99).stream("ff", 3);
-        for i in 0..257u64 {
-            // Mix helper kinds so the draw accounting is what's tested,
-            // not just next_u64 in a row.
-            match i % 4 {
-                0 => {
-                    live.next_u64();
-                }
-                1 => {
-                    live.uniform();
-                }
-                2 => {
-                    live.below(1 + i);
-                }
-                _ => {
-                    live.chance(0.7);
+    fn a_loaded_stream_continues_the_live_sequence() {
+        for seed in [1, 42, 9_001] {
+            for index in [0, 3, 17] {
+                for n in [0, 13, 10_007] {
+                    let root = SimRng::root(seed);
+                    let mut live = root.stream("ckpt", index);
+                    mixed_draws(&mut live, n);
+                    let mut enc = Enc::new();
+                    live.save(&mut enc);
+                    let bytes = enc.into_bytes();
+                    assert_eq!(bytes.len(), 32, "four state words");
+                    let mut loaded = root.stream("ckpt", index);
+                    let mut dec = Dec::new(&bytes);
+                    loaded.load(&mut dec).unwrap();
+                    assert!(dec.is_exhausted());
+                    for _ in 0..32 {
+                        assert_eq!(
+                            loaded.next_u64(),
+                            live.next_u64(),
+                            "seed {seed} index {index} after {n} draws"
+                        );
+                    }
                 }
             }
         }
-        let pos = live.draws();
-        let mut restored = SimRng::root(99).stream("ff", 3);
-        restored.fast_forward_to(pos);
-        assert_eq!(restored.draws(), pos);
-        for _ in 0..32 {
-            assert_eq!(restored.next_u64(), live.next_u64());
-        }
     }
 
     #[test]
-    fn adopt_restore_is_equivalent_to_replay() {
-        // The O(1) fork path must land byte-for-byte where the O(draws)
-        // replay path lands. Golden contract for the in-memory fork.
-        let mut live = SimRng::root(42).stream("golden", 7);
-        for _ in 0..1000 {
-            live.uniform();
-        }
-        let pos = live.draws();
-
-        let mut replayed = SimRng::root(42).stream("golden", 7);
-        replayed.restore_pos(pos, StreamRestore::Replay);
-        let mut adopted = SimRng::root(42).stream("golden", 7);
-        adopted.restore_pos(pos, StreamRestore::Adopt(&live));
-
-        assert_eq!(adopted.draws(), pos);
-        for _ in 0..64 {
-            let want = replayed.next_u64();
-            assert_eq!(adopted.next_u64(), want);
-            assert_eq!(live.next_u64(), want);
-        }
+    fn the_all_zero_state_is_refused() {
+        let mut s = SimRng::root(1).stream("x", 0);
+        assert_eq!(
+            s.load(&mut Dec::new(&[0; 32])),
+            Err(CkptError::BadTag("stream-state", 0))
+        );
     }
 
     #[test]
-    fn adopt_restore_golden_values() {
-        // Pin the adopted sequence against the same golden table the
-        // replay path pins, at an absolute position: draws 0..4 consumed
-        // by the donor, adoption resumes at the 3rd golden value.
-        let mut donor = SimRng::root(42).stream("golden", 7);
-        donor.next_u64();
-        donor.next_u64();
+    fn reseed_equals_a_fresh_derivation() {
         let mut s = SimRng::root(42).stream("golden", 7);
-        s.restore_pos(2, StreamRestore::Adopt(&donor));
-        assert_eq!(s.next_u64(), 5603479199768057760);
-        assert_eq!(s.next_u64(), 12343104976382023101);
-    }
-
-    #[test]
-    #[should_panic(expected = "different stream")]
-    fn adopt_refuses_foreign_donor() {
-        let donor = SimRng::root(42).stream("other", 7);
-        let mut s = SimRng::root(42).stream("golden", 7);
-        s.restore_pos(0, StreamRestore::Adopt(&donor));
-    }
-
-    #[test]
-    #[should_panic(expected = "sits at draw")]
-    fn adopt_refuses_mispositioned_donor() {
-        let mut donor = SimRng::root(42).stream("golden", 7);
-        donor.next_u64();
-        let mut s = SimRng::root(42).stream("golden", 7);
-        s.restore_pos(3, StreamRestore::Adopt(&donor));
-    }
-
-    #[test]
-    fn reseed_restore_rederives_under_new_root() {
-        let mut s = SimRng::root(42).stream("golden", 7);
-        for _ in 0..17 {
-            s.next_u64();
-        }
+        mixed_draws(&mut s, 17);
         let branch_root = SimRng::root(42).child("twin").child("3");
-        s.restore_pos(17, StreamRestore::Reseed(&branch_root));
-        // Position resets: reseeded streams start their own sequence.
-        assert_eq!(s.draws(), 0);
-        assert_eq!(s.label(), "golden");
+        s.reseed(&branch_root);
         let mut want = branch_root.stream("golden", 7);
         for _ in 0..32 {
             assert_eq!(s.next_u64(), want.next_u64());
         }
-    }
-
-    #[test]
-    fn component_mode_projects_per_stream() {
-        struct Donor {
-            a: Stream,
-        }
-        let mut donor = Donor {
-            a: SimRng::root(5).stream("a", 0),
-        };
-        donor.a.next_u64();
-        let how: RngRestore<'_, Donor> = RngRestore::Adopt(&donor);
-        let mut s = SimRng::root(5).stream("a", 0);
-        s.restore_pos(1, how.stream(|d| &d.a));
-        assert_eq!(s.draws(), 1);
-
-        let reseed: RngRestore<'_, Donor> = RngRestore::Reseed(SimRng::root(6));
-        s.restore_pos(1, reseed.stream(|d| &d.a));
-        assert_eq!(s.draws(), 0);
-        let mut want = SimRng::root(6).stream("a", 0);
-        assert_eq!(s.next_u64(), want.next_u64());
-
-        let replay: RngRestore<'_, Donor> = RngRestore::Replay;
-        let mut r = SimRng::root(5).stream("a", 0);
-        r.restore_pos(1, replay.stream(|d| &d.a));
-        assert_eq!(r.draws(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rewind")]
-    fn fast_forward_refuses_to_rewind() {
-        let mut s = SimRng::root(1).stream("x", 0);
-        s.next_u64();
-        s.next_u64();
-        s.fast_forward_to(1);
     }
 
     #[test]

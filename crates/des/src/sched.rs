@@ -227,22 +227,17 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// Read a field that checkpoint format v4 reserves and this scheduler
-/// always writes as zero; anything else is refused as `BadTag(what, n)`.
-fn reserved_zero(dec: &mut Dec, what: &'static str) -> Result<(), CkptError> {
-    match dec.u64()? {
-        0 => Ok(()),
-        n => Err(CkptError::BadTag(what, n)),
-    }
-}
+dcmaint_ckpt::persist!(SchedProf {
+    scheduled,
+    dropped_horizon,
+    max_pending,
+});
 
-/// The scheduler persists its clock, counters and pending queue.
-/// Written by hand rather than with `persist!`: the heap is exported in
-/// canonical `(at, seq)` order (two schedulers holding the same logical
-/// queue encode identically, whatever their heap layout history), and
-/// format v4 keeps three reserved zeros from a retired cancellation
-/// feature — the length of an empty key set after the queue, and two
-/// counters between `dropped_horizon` and `max_pending`.
+/// The scheduler persists its clock, counters, pending queue and
+/// profile. Written by hand rather than with `persist!`: the heap is
+/// exported in canonical `(at, seq)` order, so two schedulers holding
+/// the same logical queue encode identically, whatever their heap
+/// layout history.
 impl<E: Decode> Persist for Scheduler<E> {
     fn save(&self, enc: &mut Enc) {
         let Scheduler {
@@ -265,17 +260,7 @@ impl<E: Decode> Persist for Scheduler<E> {
             e.seq.save(enc);
             e.payload.save(enc);
         }
-        enc.u64(0);
-        let SchedProf {
-            scheduled,
-            dropped_horizon,
-            max_pending,
-        } = prof;
-        scheduled.save(enc);
-        dropped_horizon.save(enc);
-        enc.u64(0);
-        enc.u64(0);
-        max_pending.save(enc);
+        prof.save(enc);
     }
 
     fn load(&mut self, dec: &mut Dec) -> Result<(), CkptError> {
@@ -292,21 +277,11 @@ impl<E: Decode> Persist for Scheduler<E> {
         delivered.load(dec)?;
         horizon.load(dec)?;
         let entries: Vec<(SimTime, u64, E)> = Decode::decode(dec)?;
-        reserved_zero(dec, "scheduler-cancel-set")?;
         *heap = entries
             .into_iter()
             .map(|(at, seq, payload)| Entry { at, seq, payload })
             .collect();
-        let SchedProf {
-            scheduled,
-            dropped_horizon,
-            max_pending,
-        } = prof;
-        scheduled.load(dec)?;
-        dropped_horizon.load(dec)?;
-        reserved_zero(dec, "scheduler-cancel-count")?;
-        reserved_zero(dec, "scheduler-cancel-count")?;
-        max_pending.load(dec)
+        prof.load(dec)
     }
 }
 
@@ -435,44 +410,6 @@ mod tests {
         assert_eq!(p.max_pending, 10);
         // The lifetime counters ride the checkpoint.
         assert_eq!(round_trip(&s).prof(), p);
-    }
-
-    /// The v4 layout's reserved zeros: the cancellation-set length right
-    /// after the queue, then the two cancel counters inside the profile.
-    #[test]
-    fn load_refuses_a_nonzero_reserved_field() {
-        let mut s = Scheduler::with_horizon(SimTime::from_micros(1_000));
-        s.schedule(SimTime::from_micros(10), 1u64);
-        s.schedule(SimTime::from_micros(20), 2u64);
-        let mut enc = Enc::new();
-        s.save(&mut enc);
-        let bytes = enc.into_bytes();
-        // now, seq, delivered, horizon, queue length, then two
-        // (at, seq, payload) entries of three u64s each.
-        let set_at = 8 * (5 + 2 * 3);
-        assert_eq!(bytes[set_at..set_at + 8], [0; 8]);
-        let count_at = set_at + 8 + 2 * 8;
-        assert_eq!(bytes[count_at..count_at + 16], [0; 16]);
-        let load = |bytes: &[u8]| Scheduler::<u64>::new().load(&mut Dec::new(bytes));
-
-        // A one-key cancellation set: length 1 plus one u64 key.
-        let mut one_key = bytes[..set_at].to_vec();
-        one_key.extend_from_slice(&1u64.to_le_bytes());
-        one_key.extend_from_slice(&0u64.to_le_bytes());
-        one_key.extend_from_slice(&bytes[set_at + 8..]);
-        assert_eq!(
-            load(&one_key),
-            Err(CkptError::BadTag("scheduler-cancel-set", 1))
-        );
-
-        for at in [count_at, count_at + 8] {
-            let mut counted = bytes.clone();
-            counted[at..at + 8].copy_from_slice(&7u64.to_le_bytes());
-            assert_eq!(
-                load(&counted),
-                Err(CkptError::BadTag("scheduler-cancel-count", 7))
-            );
-        }
     }
 
     #[test]

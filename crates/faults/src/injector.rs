@@ -67,13 +67,10 @@ pub struct Incident {
 pub struct FaultInjector {
     cfg: FaultConfig,
     arrivals: Stream,
-    /// Never drawn: organic causes come from the engine's own stream.
-    /// Checkpoint format v4 still records its (zero) draw count.
-    causes: Stream,
     manifests: Stream,
 }
 
-dcmaint_ckpt::persist!(FaultInjector { arrivals, causes, manifests }
+dcmaint_ckpt::persist!(FaultInjector { arrivals, manifests }
     skip { cfg: "rebuilt from the scenario's FaultConfig" });
 
 impl FaultInjector {
@@ -82,7 +79,6 @@ impl FaultInjector {
         FaultInjector {
             cfg,
             arrivals: rng.stream("fault-arrivals", 0),
-            causes: rng.stream("fault-causes", 0),
             manifests: rng.stream("fault-manifests", 0),
         }
     }
@@ -119,13 +115,11 @@ impl FaultInjector {
         .sample_duration(&mut self.manifests)
     }
 
-    /// Position the injector's RNG streams for a fork before its
-    /// checkpoint loads: adopt the live donor injector's (in-memory
-    /// fork) or re-derive them under a branch root (twin planning).
-    pub fn reposition_streams(&mut self, rng: dcmaint_des::RngRestore<'_, FaultInjector>) {
-        self.arrivals.reposition(rng.stream(|i| &i.arrivals));
-        self.causes.reposition(rng.stream(|i| &i.causes));
-        self.manifests.reposition(rng.stream(|i| &i.manifests));
+    /// Re-derive the injector's RNG streams under `rng`, the root
+    /// [`FaultInjector::new`] takes (a twin hedge branch).
+    pub fn reseed(&mut self, rng: &SimRng) {
+        self.arrivals.reseed(rng);
+        self.manifests.reseed(rng);
     }
 
     fn manifest(&mut self, link: LinkId, cause: RootCause) -> Incident {

@@ -3,8 +3,11 @@
 //! The paper argues self-maintenance wins on three cost axes (§1, §2, §4):
 //! technician labor, overprovisioned standing redundancy, and
 //! downtime/unavailability. [`CostModel`] holds the unit prices;
-//! [`CostLedger`] accumulates charges as the simulation runs so experiments
-//! can report $/year per policy. Absolute dollar values are illustrative —
+//! [`CostLedger`] accumulates the charges a run incurs (labor, robots,
+//! hardware, downtime) so experiments can report $/year per policy.
+//! Standing redundancy is not a run charge: the provisioning experiment
+//! prices it from [`CostModel::redundant_link_annual`]. Absolute dollar
+//! values are illustrative —
 //! the experiments compare *ratios* across automation levels, which are
 //! insensitive to the exact unit prices (documented per-field below).
 
@@ -64,8 +67,6 @@ pub struct CostLedger {
     pub hardware: f64,
     /// Downtime penalties (USD).
     pub downtime: f64,
-    /// Standing redundancy carry cost (USD).
-    pub redundancy: f64,
 }
 
 dcmaint_ckpt::persist!(CostLedger {
@@ -73,7 +74,6 @@ dcmaint_ckpt::persist!(CostLedger {
     robots,
     hardware,
     downtime,
-    redundancy,
 });
 
 impl CostLedger {
@@ -111,7 +111,7 @@ impl CostLedger {
 
     /// Grand total (USD).
     pub fn total(&self) -> f64 {
-        self.labor + self.robots + self.hardware + self.downtime + self.redundancy
+        self.labor + self.robots + self.hardware + self.downtime
     }
 
     /// Merge another ledger into this one.
@@ -120,7 +120,6 @@ impl CostLedger {
         self.robots += other.robots;
         self.hardware += other.hardware;
         self.downtime += other.downtime;
-        self.redundancy += other.redundancy;
     }
 }
 

@@ -5,8 +5,8 @@
 //! * [`SampleSet`], [`DurationSamples`] — exact-quantile statistics,
 //! * [`AvailabilityTracker`], [`FleetAvailability`] — up/down ledgers
 //!   yielding availability, MTBF, MTTR and downtime-window distributions,
-//! * [`CostModel`], [`CostLedger`] — labor / robot / hardware / downtime /
-//!   redundancy cost accounting,
+//! * [`CostModel`], [`CostLedger`] — labor / robot / hardware / downtime
+//!   cost accounting,
 //! * [`Table`], [`Cell`] — typed table cells: how every experiment value
 //!   renders (text table, CSV, JSONL) and how its seed replicates fold
 //!   into mean ±95% CI cells ([`Table::fold`]).

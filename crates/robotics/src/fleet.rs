@@ -463,11 +463,10 @@ impl RobotFleet {
         self.units[unit].spares = self.cfg.spares_per_unit;
     }
 
-    /// Position the fleet's RNG stream for a fork before its checkpoint
-    /// loads: adopt the live donor fleet's (in-memory fork) or re-derive
-    /// it under a branch root (twin planning).
-    pub fn reposition_streams(&mut self, rng: dcmaint_des::RngRestore<'_, RobotFleet>) {
-        self.rng.reposition(rng.stream(|f| &f.rng));
+    /// Re-derive the fleet's RNG stream under `rng`, the root the
+    /// constructors take (a twin hedge branch).
+    pub fn reseed(&mut self, rng: &SimRng) {
+        self.rng.reseed(rng);
     }
 
     /// Fleet-wide cumulative busy time (for cost accounting).

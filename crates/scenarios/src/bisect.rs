@@ -130,9 +130,9 @@ impl BisectReport {
 /// at the last-agreeing boundary to pin the first divergent event.
 ///
 /// The kept boundary state is an [`Engine::fork`] rather than a full
-/// [`Engine::snapshot`]: the fork adopts the live RNG streams (O(1) per
-/// stream instead of replaying every recorded draw), so tight bisection
-/// intervals late in long runs no longer pay O(draws) per boundary.
+/// [`Engine::snapshot`]: the same decode without the envelope and its
+/// hashes. Each RNG stream loads its saved generator state, so a fork
+/// late in a long run costs no more than an early one.
 pub fn bisect(
     cfg_a: ScenarioConfig,
     cfg_b: ScenarioConfig,

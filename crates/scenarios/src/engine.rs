@@ -745,7 +745,7 @@ impl Engine {
         let until = (now + tcfg.horizon).min(SimTime::ZERO + self.cfg.duration);
         let decision = self.twin_decisions;
         let samples = tcfg.samples.max(1);
-        // Sample 0 is the *foresight* world: the branch replays the
+        // Sample 0 is the *foresight* world: the branch continues the
         // parent's RNG tape, so it rehearses the future this run will
         // actually live. Samples 1.. reseed under
         // `twin/<decision>/<sample>` — alternative futures that hedge
@@ -769,7 +769,7 @@ impl Engine {
                 let root = (s > 0).then(|| decision_root.child(&s.to_string()));
                 jobs.push(move || {
                     let mut child = match &root {
-                        None => Engine::from_fork_bytes_replayed(cfg, &bytes),
+                        None => Engine::from_fork_bytes(cfg, &bytes),
                         Some(root) => Engine::from_fork_bytes_reseeded(cfg, &bytes, root),
                     }
                     .expect("twin fork bytes decode");

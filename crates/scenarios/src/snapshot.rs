@@ -3,15 +3,18 @@
 //! A snapshot is the *complete* mutable state of a mid-run [`Engine`],
 //! canonically encoded: the scheduler's clock and pending queue (with
 //! sequence tiebreakers), every component's state, all counters, the
-//! observability plane, and the position of every RNG substream. The
-//! encoding is deterministic byte-for-byte, so two engines are in the
-//! same logical state **iff** their snapshots are byte-equal — which is
-//! what makes [`Engine::state_hash`] a meaningful equivalence check and
-//! what the divergence bisector builds on.
+//! observability plane, and the generator state of every RNG substream.
+//! The encoding is deterministic byte-for-byte, so two engines are in
+//! the same logical state **iff** their snapshots are byte-equal — which
+//! is what makes [`Engine::state_hash`] a meaningful equivalence check
+//! and what the divergence bisector builds on.
 //!
 //! The payload layout is the [`Persist`] definition below: one ordered
-//! field list per state type, from which `snapshot`, `fork_bytes`,
-//! `state_hash` and every restore path derive (DESIGN §3.11).
+//! field list per state type, from which `snapshot`, `fork_bytes` and
+//! `state_hash` derive (DESIGN §3.11). Every bytes → engine path is one
+//! decode: build the engine from the config, load the payload over it,
+//! reject trailing bytes. A twin hedge branch then re-derives its
+//! streams under the branch root.
 //!
 //! The contract enforced by `tests/ckpt.rs` and CI: **restore ≡
 //! continuous**. Running N days, snapshotting, restoring into a fresh
@@ -27,7 +30,7 @@
 //!   observational only, never feeds back into the simulation.
 
 use dcmaint_ckpt::{fnv1a64, CkptError, Dec, Enc, Persist, Snapshot, StateHash};
-use dcmaint_des::{RngRestore, SimRng, Stream, StreamRestore};
+use dcmaint_des::SimRng;
 
 use crate::config::ScenarioConfig;
 use crate::engine::{ActiveIncident, ActiveRepair, Engine, Ev, LinkRt};
@@ -177,24 +180,6 @@ dcmaint_ckpt::persist!(Engine {
     prof: "self-profiler; a restored run re-counts from its resume point",
 });
 
-/// How a decode reinstates RNG stream positions — the engine-level
-/// mirror of [`dcmaint_des::StreamRestore`]:
-///
-/// * `Replay` — fast-forward each freshly derived stream by its recorded
-///   draw count. O(total draws); the disk-checkpoint path.
-/// * `Adopt` — clone each stream from the live donor engine, which must
-///   sit exactly at the recorded positions. O(1) per stream; the
-///   in-memory [`Engine::fork`] path.
-/// * `Reseed` — re-derive every stream under a different root at draw 0.
-///   O(1) per stream; the twin-branch path, where branches deliberately
-///   diverge from the parent's noise while staying fully seeded.
-#[derive(Clone, Copy)]
-pub(crate) enum RestoreRng<'a> {
-    Replay,
-    Adopt(&'a Engine),
-    Reseed(&'a SimRng),
-}
-
 impl Engine {
     /// Capture the engine's complete mutable state as a versioned
     /// snapshot, restorable with [`Engine::restore`] under the same
@@ -212,82 +197,62 @@ impl Engine {
         StateHash(fnv1a64(&self.fork_bytes()))
     }
 
-    /// Rebuild an engine from a snapshot taken under `cfg`. The engine
+    /// Rebuild an engine from a snapshot taken under `cfg`: the engine
     /// is constructed exactly as [`Engine::new`] would, then every piece
-    /// of mutable state is overlaid from the payload and every RNG
-    /// substream fast-forwarded to its recorded position.
+    /// of mutable state, RNG generator states included, is loaded over
+    /// it from the payload.
     pub fn restore(cfg: ScenarioConfig, snap: &Snapshot) -> Result<Engine, CkptError> {
         snap.require_config(config_fingerprint(&cfg))?;
-        Engine::from_payload(
-            cfg,
-            &snap.payload,
-            RestoreRng::Replay,
-            "snapshot-trailing-bytes",
-        )
+        Engine::from_payload(cfg, &snap.payload, None, "snapshot-trailing-bytes")
     }
 
     /// Raw in-memory fork payload: the complete state encoding with no
     /// envelope, version header, or config fingerprint. Feed it to
-    /// [`Engine::fork_from_bytes`] / [`Engine::from_fork_bytes_reseeded`]
-    /// only — disk checkpoints go through [`Engine::snapshot`].
+    /// [`Engine::fork_from_bytes`], [`Engine::from_fork_bytes`] or
+    /// [`Engine::from_fork_bytes_reseeded`] only — disk checkpoints go
+    /// through [`Engine::snapshot`].
     pub fn fork_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         self.save(&mut enc);
         enc.into_bytes()
     }
 
-    /// In-memory fork: semantically `snapshot()` + `restore()` under the
-    /// same configuration, but skipping the envelope/hash path and
-    /// *adopting* the parent's live RNG streams instead of replaying
-    /// their recorded draw counts — O(1) per stream instead of
-    /// O(draws). The fork is byte-equivalent to the full codec path
-    /// (`fork().snapshot() == parent.snapshot()`), pinned by a test.
+    /// In-memory fork: `snapshot()` + `restore()` under the same
+    /// configuration, without the envelope and its hashes. The fork is
+    /// byte-equivalent to the full codec path (`fork().snapshot() ==
+    /// parent.snapshot()`), pinned by a test.
     pub fn fork(&self) -> Engine {
         let bytes = self.fork_bytes();
         self.fork_from_bytes(&bytes).expect("fork bytes round-trip")
     }
 
-    /// [`Engine::fork`] split in two so callers holding several forks of
-    /// one parent (e.g. the twin planner, the bisector's lockstep
-    /// replay) encode once and decode many times.
+    /// [`Engine::fork`] split in two, so a caller holding several forks
+    /// of one parent encodes once and decodes many times.
     pub fn fork_from_bytes(&self, bytes: &[u8]) -> Result<Engine, CkptError> {
-        Engine::from_payload(
-            self.cfg.clone(),
-            bytes,
-            RestoreRng::Adopt(self),
-            "fork-trailing-bytes",
-        )
+        Engine::from_fork_bytes(self.cfg.clone(), bytes)
     }
 
     /// Twin-branch constructor for the *foresight* sample: rebuild an
-    /// engine from fork bytes alone, replaying each stream's recorded
-    /// draw count so the branch continues on the parent's exact RNG
-    /// tape — it rehearses the future the parent will actually live
-    /// (perfect-model MPC), without borrowing the parent into the
-    /// worker closure. O(draws) fast-forward, paid per branch.
-    pub fn from_fork_bytes_replayed(
-        cfg: ScenarioConfig,
-        bytes: &[u8],
-    ) -> Result<Engine, CkptError> {
-        Engine::from_payload(cfg, bytes, RestoreRng::Replay, "fork-trailing-bytes")
+    /// engine from fork bytes alone. Its streams continue the parent's
+    /// exact RNG tape, so the branch rehearses the future the parent
+    /// will actually live (perfect-model MPC), without borrowing the
+    /// parent into the worker closure.
+    pub fn from_fork_bytes(cfg: ScenarioConfig, bytes: &[u8]) -> Result<Engine, CkptError> {
+        Engine::from_payload(cfg, bytes, None, "fork-trailing-bytes")
     }
 
-    /// Twin-branch constructor: rebuild an engine from fork bytes with
-    /// every RNG stream re-derived under `branch_root` at draw 0. The
-    /// branch deliberately diverges from the parent's noise while
-    /// staying fully seeded — the same `branch_root` always yields the
-    /// same branch, and the parent consumes zero draws.
+    /// Twin-branch constructor for a *hedge* sample: rebuild an engine
+    /// from fork bytes, then re-derive every RNG stream under
+    /// `branch_root`. The branch deliberately diverges from the
+    /// parent's noise while staying fully seeded — the same
+    /// `branch_root` always yields the same branch, and the parent
+    /// consumes zero draws.
     pub fn from_fork_bytes_reseeded(
         cfg: ScenarioConfig,
         bytes: &[u8],
         branch_root: &SimRng,
     ) -> Result<Engine, CkptError> {
-        Engine::from_payload(
-            cfg,
-            bytes,
-            RestoreRng::Reseed(branch_root),
-            "fork-trailing-bytes",
-        )
+        Engine::from_payload(cfg, bytes, Some(branch_root), "fork-trailing-bytes")
     }
 
     /// Bench-harness hook: capture a snapshot under the self-profiler's
@@ -322,24 +287,24 @@ impl Engine {
     }
 
     /// The one bytes → engine path: build the engine exactly as
-    /// [`Engine::new`] would, position its RNG streams for `rng`, load
-    /// the payload over it, and reject trailing bytes under `trailing`.
-    /// Every decoded link id is range-checked against the topology.
+    /// [`Engine::new`] would, load the payload over it, reject trailing
+    /// bytes under `trailing`, then re-derive every stream under
+    /// `reseed` if given. Every decoded link id is range-checked against
+    /// the topology.
     fn from_payload(
         cfg: ScenarioConfig,
         bytes: &[u8],
-        rng: RestoreRng<'_>,
+        reseed: Option<&SimRng>,
         trailing: &'static str,
     ) -> Result<Engine, CkptError> {
         let mut eng = Engine::new(cfg);
         let mut dec = Dec::new(bytes).with_link_count(eng.topo.link_count());
-        eng.reposition_streams(rng);
-        if let RestoreRng::Reseed(_) = rng {
-            dec = dec.keep_positions();
-        }
         eng.load(&mut dec)?;
         if !dec.is_exhausted() {
             return Err(CkptError::BadTag(trailing, dec.remaining() as u64));
+        }
+        if let Some(root) = reseed {
+            eng.reseed(root);
         }
         // The tuned trigger lives in the Mape; the planner was rebuilt
         // from config, so re-mirror the restored value into it.
@@ -350,43 +315,23 @@ impl Engine {
         Ok(eng)
     }
 
-    /// Position every RNG stream for a fork before the payload loads:
-    /// adopt the donor's live streams, or re-derive them under the
-    /// branch root. `Replay` leaves them for the load to fast-forward.
-    fn reposition_streams(&mut self, rng: RestoreRng<'_>) {
-        // Components project the engine-level mode onto their own type.
-        // The reseed namespaces ("techs"/"fleet"/"faults") must match
-        // `build_engine`.
-        let (techs, fleet, faults) = match rng {
-            RestoreRng::Replay => return,
-            RestoreRng::Adopt(e) => (
-                RngRestore::Adopt(&e.techs),
-                RngRestore::Adopt(&e.fleet),
-                RngRestore::Adopt(&e.injector),
-            ),
-            RestoreRng::Reseed(root) => (
-                RngRestore::Reseed(root.child("techs")),
-                RngRestore::Reseed(root.child("fleet")),
-                RngRestore::Reseed(root.child("faults")),
-            ),
-        };
-        self.techs.reposition_streams(techs);
-        self.fleet.reposition_streams(fleet);
-        self.injector.reposition_streams(faults);
-        // The engine's own streams derive straight from the scenario
-        // root, so Reseed re-derives them under the branch root directly.
-        let s = |pick: fn(&Engine) -> &Stream| match rng {
-            RestoreRng::Replay => StreamRestore::Replay,
-            RestoreRng::Adopt(e) => StreamRestore::Adopt(pick(e)),
-            RestoreRng::Reseed(root) => StreamRestore::Reseed(root),
-        };
-        self.hazard.reposition(s(|e| &e.hazard));
-        self.causes.reposition(s(|e| &e.causes));
-        self.outcomes.reposition(s(|e| &e.outcomes));
-        self.ops.reposition(s(|e| &e.ops));
-        self.faults_rng.reposition(s(|e| &e.faults_rng));
-        self.recovery_rng.reposition(s(|e| &e.recovery_rng));
-        self.autonomic_rng.reposition(s(|e| &e.autonomic_rng));
+    /// Re-derive every RNG stream under `root`, with the namespaces
+    /// `build_engine` gives each component.
+    fn reseed(&mut self, root: &SimRng) {
+        self.techs.reseed(&root.child("techs"));
+        self.fleet.reseed(&root.child("fleet"));
+        self.injector.reseed(&root.child("faults"));
+        for s in [
+            &mut self.hazard,
+            &mut self.causes,
+            &mut self.outcomes,
+            &mut self.ops,
+            &mut self.faults_rng,
+            &mut self.recovery_rng,
+            &mut self.autonomic_rng,
+        ] {
+            s.reseed(root);
+        }
     }
 }
 
@@ -476,9 +421,9 @@ mod tests {
         assert!(Engine::restore(other, &snap).is_err());
     }
 
-    /// Satellite contract: `fork()` ≡ snapshot + restore, byte-for-byte
-    /// — the O(1) stream-adoption shortcut must land in the exact state
-    /// the full codec path would, and leave the parent untouched.
+    /// `fork()` ≡ snapshot + restore, byte-for-byte: the envelope-free
+    /// path must land in the exact state the full codec path would, and
+    /// leave the parent untouched.
     #[test]
     fn fork_is_byte_equivalent_to_the_codec_path() {
         let cfg = small(13, AutomationLevel::L3, 10);
@@ -511,7 +456,7 @@ mod tests {
 
     /// A reseeded branch is a valid engine in the same logical state but
     /// on different noise: state matches everywhere except stream
-    /// positions, and it can run to its horizon without issue.
+    /// states, and it can run to its horizon without issue.
     #[test]
     fn reseeded_fork_runs_and_starts_from_the_same_state() {
         let cfg = small(17, AutomationLevel::L3, 8);

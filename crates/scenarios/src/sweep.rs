@@ -769,6 +769,27 @@ mod tests {
         assert!(e3 < e5 && e5 < a1, "order was {titles:?}");
     }
 
+    /// The quick presets rerun to the same bytes, and those bytes are
+    /// the committed tables: E14 (maintenance-plane faults), E15 (the
+    /// one experiment whose twin branches decode through both
+    /// `from_fork_bytes` and `from_fork_bytes_reseeded`) and E16 (the
+    /// MAPE-K loop).
+    #[test]
+    fn quick_presets_rerun_to_their_committed_tables() {
+        let fixture = include_str!("../../../tests/fixtures/experiments-quick.txt");
+        for name in ["e14", "e15", "e16"] {
+            let render = || {
+                run_one(name, 2024, true)
+                    .iter()
+                    .map(|t| format!("{}\n", t.render()))
+                    .collect::<String>()
+            };
+            let first = render();
+            assert_eq!(first, render(), "{name} reran to different bytes");
+            assert!(fixture.contains(&first), "{name} left its golden:\n{first}");
+        }
+    }
+
     #[test]
     fn is_experiment_knows_the_registry() {
         assert!(is_experiment("e1"));

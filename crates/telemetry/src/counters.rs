@@ -22,8 +22,6 @@ pub struct LinkCounters {
     transitions: VecDeque<SimTime>,
     /// How long transition history is retained.
     transition_window: SimDuration,
-    /// Cumulative transition count (never trimmed).
-    transitions_total: u64,
     /// Seconds observed with loss above the errored threshold.
     errored_samples: u64,
     /// Total samples observed.
@@ -42,7 +40,6 @@ dcmaint_ckpt::persist!(LinkCounters {
     alpha,
     transitions,
     transition_window,
-    transitions_total,
     errored_samples,
     samples,
     last_sample,
@@ -61,7 +58,6 @@ impl LinkCounters {
             alpha: 0.3,
             transitions: VecDeque::new(),
             transition_window,
-            transitions_total: 0,
             errored_samples: 0,
             samples: 0,
             last_sample: SimTime::ZERO,
@@ -84,7 +80,6 @@ impl LinkCounters {
     /// Record a link state transition (up↔down edge or flap phase edge).
     pub fn record_transition(&mut self, t: SimTime) {
         self.transitions.push_back(t);
-        self.transitions_total += 1;
         self.trim(t);
     }
 
@@ -125,11 +120,6 @@ impl LinkCounters {
     pub fn recent_transitions(&mut self, now: SimTime) -> usize {
         self.trim(now);
         self.transitions.len()
-    }
-
-    /// Lifetime transition count.
-    pub fn transitions_total(&self) -> u64 {
-        self.transitions_total
     }
 
     /// Lifetime incident count.
@@ -192,9 +182,7 @@ mod tests {
         c.record_transition(t(50));
         c.record_transition(t(120));
         assert_eq!(c.recent_transitions(t(120)), 2); // t=0 expired
-        assert_eq!(c.transitions_total(), 3);
         assert_eq!(c.recent_transitions(t(500)), 0);
-        assert_eq!(c.transitions_total(), 3);
     }
 
     #[test]
@@ -217,9 +205,8 @@ mod tests {
         assert_eq!(c.loss_ewma(), 0.0);
         assert_eq!(c.recent_transitions(t(10)), 0);
         assert_eq!(c.errored_fraction(), 0.0, "errored counters reset too");
-        // Lifetime aggregates survive.
+        // The lifetime incident count survives.
         assert_eq!(c.incidents_total(), 1);
-        assert_eq!(c.transitions_total(), 1);
         assert_eq!(c.since_maintenance(t(70)), SimDuration::from_secs(60));
     }
 

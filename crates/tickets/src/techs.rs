@@ -164,12 +164,11 @@ impl TechnicianPool {
         Assignment { tech, start }
     }
 
-    /// Position the pool's RNG streams for a fork before its checkpoint
-    /// loads: adopt the live donor pool's (in-memory fork) or re-derive
-    /// them under a branch root (twin planning).
-    pub fn reposition_streams(&mut self, rng: dcmaint_des::RngRestore<'_, TechnicianPool>) {
-        self.triage.reposition(rng.stream(|p| &p.triage));
-        self.tasks.reposition(rng.stream(|p| &p.tasks));
+    /// Re-derive the pool's RNG streams under `rng`, the root
+    /// [`TechnicianPool::new`] takes (a twin hedge branch).
+    pub fn reseed(&mut self, rng: &SimRng) {
+        self.triage.reseed(rng);
+        self.tasks.reseed(rng);
     }
 
     fn align_to_shift(&self, tech: usize, t: SimTime) -> SimTime {

@@ -17,7 +17,7 @@
 //!
 //! * The parent consumes **zero RNG draws** while planning — candidates
 //!   are enumerated from inspectable state only.
-//! * Branch RNG is fully derived: the foresight sample replays the
+//! * Branch RNG is fully derived: the foresight sample continues the
 //!   parent's own tape (deterministic state), and hedge samples
 //!   re-derive their streams under `root(seed)/twin/<decision-id>`, so
 //!   all candidates of one sample face *common random numbers* (the
@@ -55,7 +55,7 @@ pub struct TwinConfig {
     /// Maximum branches per decision (candidate list is truncated).
     pub max_branches: usize,
     /// Sampled futures per candidate. Sample 0 is always the *foresight*
-    /// world — the branch replays the parent's RNG tape, rehearsing the
+    /// world — the branch continues the parent's RNG tape, rehearsing the
     /// future this run will actually live (perfect-model MPC). Samples
     /// beyond the first reseed under `twin/<decision>/<sample>` and are
     /// averaged in: alternative futures that hedge the plan against

@@ -1,7 +1,8 @@
 //! Checkpoint/restore properties over the public API: the subsystem's
 //! core contract — **restore ≡ continuous** — must hold for arbitrary
 //! seeds, cut points, and automation levels, not just the examples the
-//! unit tests picked. This is the property CI's `ckpt` job gates on.
+//! unit tests picked. `tests/cli.rs` checks the same contract end to end
+//! on the real binary.
 
 use proptest::prelude::*;
 use selfmaint::ckpt::Snapshot;
@@ -190,19 +191,22 @@ fn golden_cfg() -> ScenarioConfig {
     cfg
 }
 
-/// Byte-for-byte pin of the checkpoint format. `tests/fixtures/golden-v4.ckpt`
-/// was written once, by the hand-written codec that preceded the
-/// `Persist` trait, as
+/// Byte-for-byte pin of the checkpoint format. `tests/fixtures/golden-v5.ckpt`
+/// was written once, as
 /// `{ let mut e = Engine::new(golden_cfg()); e.run_until(SimTime::ZERO +
 /// SimDuration::from_hours(72)); e.snapshot().to_bytes() }` — at that
 /// cut three repairs are in flight, a twin plan is committed, and the
-/// loop has ticked. It must never be regenerated: any codec change that
-/// moves a byte fails here.
+/// loop has ticked. Format v5 replaced v4's fixture because each RNG
+/// stream now saves its four generator words instead of a draw count,
+/// and the fields v4 kept only for their bytes are gone; the header's
+/// config fingerprint is v4's. It must never be regenerated: any codec
+/// change that moves a byte fails here, and a deliberate one bumps
+/// `VERSION` and writes a new fixture.
 #[test]
 fn golden_checkpoint_round_trips_byte_equal() {
     let golden = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/golden-v4.ckpt"
+        "/tests/fixtures/golden-v5.ckpt"
     ))
     .expect("golden fixture");
     let snap = Snapshot::from_bytes(&golden).expect("golden fixture parses");

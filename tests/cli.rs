@@ -188,6 +188,49 @@ fn trace_and_sweep_match_their_goldens() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Restore ≡ continuous on the real binary: a 14-day L3 run prints the
+/// same JSON plain, checkpointed every 5 days, and resumed from its
+/// day-10 checkpoint.
+#[test]
+fn checkpointed_and_resumed_runs_print_the_continuous_json() {
+    let dir = scratch("restore");
+    let run = [
+        "run", "--level", "L3", "--days", "14", "--seed", "42", "--json",
+    ];
+    let plain = selfmaint(&run);
+    assert!(plain.status.success(), "{}", stderr(&plain));
+    let every = ["--checkpoint-every", "5", "--checkpoint-dir"];
+    let checkpointed = selfmaint(&[&run[..], &every, &[dir.to_str().unwrap()]].concat());
+    let day10 = dir.join("ckpt-day-0010.bin");
+    let resumed = selfmaint(&[&run[..], &["--resume", day10.to_str().unwrap()]].concat());
+    for (what, out) in [("checkpointed", &checkpointed), ("resumed", &resumed)] {
+        assert!(out.status.success(), "{what}: {}", stderr(out));
+        assert_eq!(
+            stdout(out),
+            stdout(&plain),
+            "the {what} run left the continuous one"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The bisect demo finds its planted nondeterminism: exit 1, and a
+/// report that marks the divergent checkpoint and names the first
+/// divergent event.
+#[test]
+fn bisect_demo_reports_the_planted_divergence() {
+    let dir = scratch("bisect");
+    let report = dir.join("r.txt");
+    let out = selfmaint(&["bisect", "--quick", "--out", report.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&report).expect("bisect writes its report");
+    assert!(
+        text.contains("DIVERGED") && text.contains("first divergent event"),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Each argument a command does not accept is refused with exit 2 and
 /// named on stderr: nothing on stdout, no file written. Only the
 /// out-of-range `--incident` needs the run; the rest are refused before

@@ -24,18 +24,33 @@ fn tiny(seeds: u64, jobs: usize, obs: bool) -> EngineSweepParams {
     }
 }
 
+/// With and without the MAPE-K loop: the loop runs inside each seed's
+/// engine, so the worker count must not leak into its decisions either.
 #[test]
 fn engine_sweep_stdout_and_journal_are_worker_count_invariant() {
-    let serial = run_engine_sweep(&tiny(2, 1, true));
-    let parallel = run_engine_sweep(&tiny(2, 3, true));
-    assert_eq!(outcome_fingerprint(&serial), outcome_fingerprint(&parallel));
-    assert_eq!(serial.journal, parallel.journal, "journal bytes diverged");
-    assert_eq!(
-        serial.registry.as_ref().unwrap().snapshot_lines(),
-        parallel.registry.as_ref().unwrap().snapshot_lines(),
-        "merged registry diverged"
-    );
-    assert!(serial.failures.is_empty());
+    for autonomic in [false, true] {
+        let params = |jobs| EngineSweepParams {
+            autonomic,
+            ..tiny(2, jobs, true)
+        };
+        let serial = run_engine_sweep(&params(1));
+        let parallel = run_engine_sweep(&params(3));
+        assert_eq!(
+            outcome_fingerprint(&serial),
+            outcome_fingerprint(&parallel),
+            "autonomic {autonomic}"
+        );
+        assert_eq!(
+            serial.journal, parallel.journal,
+            "journal bytes diverged (autonomic {autonomic})"
+        );
+        assert_eq!(
+            serial.registry.as_ref().unwrap().snapshot_lines(),
+            parallel.registry.as_ref().unwrap().snapshot_lines(),
+            "merged registry diverged (autonomic {autonomic})"
+        );
+        assert!(serial.failures.is_empty());
+    }
 }
 
 #[test]

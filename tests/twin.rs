@@ -1,6 +1,6 @@
 //! Digital-twin planner properties over the public API (DESIGN §3.14).
 //!
-//! The three contracts CI's `twin` job gates on:
+//! Three contracts of the twin planner:
 //!
 //! 1. **Fork-evaluate-discard is free**: forking the engine, running the
 //!    branch ahead, and dropping it leaves the parent byte-identical —
